@@ -80,8 +80,7 @@ def _timed(fn):
 def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
                    fan_in: Optional[int] = None,
                    weight_bound: int = 8,
-                   force_restriction: bool = False,
-                   threads: int = 1) -> list[BenchRecord]:
+                   force_restriction: bool = False) -> list[BenchRecord]:
     """Threshold-circuit suite through the restriction solver."""
     out = []
     dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
@@ -93,7 +92,7 @@ def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
         cnt = WorkCounters()
         outcome, elapsed = _timed(lambda: solve(
             circuit, seed=seed + i, force_restriction=force_restriction,
-            threads=threads, counters=cnt))
+            counters=cnt))
         out.append(_record(f"tc-{n}-{c}-{seed + i}", n, c, "solve",
                            outcome.satisfiable, elapsed, cnt))
     return out
@@ -132,14 +131,17 @@ def bench_ilp(count: int, n: int, rows: int, *, arity: int = 2,
     return out
 
 
-def bench_speedup(count: int = 3, *, seed: int = 0,
-                  n: int = 24, fan_in: int = 3) -> list[BenchRecord]:
-    """The headline configuration: density one, fan-in three, n = 24.
+def bench_speedup(count: int = 3, *, seed: int = 0, n: int = 24, c: int = 1,
+                  fan_in: int = 3,
+                  force_restriction: bool = False) -> list[BenchRecord]:
+    """The headline configuration: by default density one, fan-in three,
+    n = 24.
 
-    On these instances the full cube has 2^24 points, so any empirical
+    On these instances the full cube has 2^n points, so any empirical
     exponent below 1.0 is measured savings.
     """
-    return bench_circuits(count, n, 1, seed=seed, fan_in=fan_in)
+    return bench_circuits(count, n, c, seed=seed, fan_in=fan_in,
+                          force_restriction=force_restriction)
 
 
 def format_table(records: list[BenchRecord]) -> str:

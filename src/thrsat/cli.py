@@ -57,7 +57,7 @@ def _run_instance(args, use_oracle: bool) -> int:
                 kwargs["max_branch_bits"] = args.max_assigned
             outcome = solve(circuit, seed=args.seed,
                             force_restriction=args.force_restriction,
-                            threads=args.threads, counters=cnt, **kwargs)
+                            counters=cnt, **kwargs)
             witness = outcome.witness
     elif args.kind == "symmetric":
         circuit = parse_symmetric(text)
@@ -117,7 +117,7 @@ def _cmd_bench(args) -> int:
     if args.suite == "circuit":
         records = bench_mod.bench_circuits(
             args.count, args.n, args.c, seed=args.seed, fan_in=args.fan_in,
-            force_restriction=args.force_restriction, threads=args.threads)
+            force_restriction=args.force_restriction)
     elif args.suite == "symmetric":
         records = bench_mod.bench_symmetric(
             args.count, args.n, args.c, seed=args.seed,
@@ -126,7 +126,10 @@ def _cmd_bench(args) -> int:
         records = bench_mod.bench_ilp(args.count, args.n, args.rows,
                                       arity=args.arity, seed=args.seed)
     else:
-        records = bench_mod.bench_speedup(args.count, seed=args.seed)
+        kwargs = {} if args.fan_in is None else {"fan_in": args.fan_in}
+        records = bench_mod.bench_speedup(
+            args.count, seed=args.seed, n=args.n, c=args.c,
+            force_restriction=args.force_restriction, **kwargs)
     sys.stdout.write(bench_mod.format_table(records))
     return 0
 
@@ -140,8 +143,6 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
                      help="skip the small-instance scan and restrict anyway")
     sub.add_argument("--max-assigned", type=int, default=None,
                      help="branch-bit guard (half-size guard for ilp)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for branch scans (circuit only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--fan-in", type=int, default=None)
     bench_p.add_argument("--force-restriction", action="store_true")
-    bench_p.add_argument("--threads", type=int, default=1)
     bench_p.set_defaults(func=_cmd_bench)
     return parser
 

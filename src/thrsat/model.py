@@ -270,6 +270,21 @@ def wire_stats(circuit: ThresholdCircuit) -> WireStats:
     return WireStats(fanins=fanins, total=sum(g.fan_in for g in circuit.bottom))
 
 
+def check_accumulation(circuit: ThresholdCircuit) -> None:
+    """Refuse circuits whose gate or top sums could leave int64.
+
+    Every bottom-gate sum is bounded by its absolute weight total and every
+    top sum by the absolute top and direct weight total; both must stay
+    below ACCUMULATION_GUARD.
+    """
+    worst_top = sum(abs(w) for w in circuit.top_gate_weights) \
+        + sum(abs(w) for _, w in circuit.direct_wires)
+    worst_gate = max((sum(abs(w) for _, w in g.inputs) for g in circuit.bottom),
+                     default=0)
+    if max(worst_top, worst_gate) >= ACCUMULATION_GUARD:
+        raise InputError("circuit weights exceed the accumulation guard")
+
+
 def evaluate_batch(circuit: ThresholdCircuit, values: np.ndarray) -> np.ndarray:
     """Evaluate the circuit on a whole batch of assignments at once.
 
@@ -282,12 +297,7 @@ def evaluate_batch(circuit: ThresholdCircuit, values: np.ndarray) -> np.ndarray:
     if vals.ndim != 2 or vals.shape[1] != circuit.n_vars:
         raise InputError("values must be a (rows, n_vars) array")
     rows = vals.shape[0]
-    worst_top = sum(abs(w) for w in circuit.top_gate_weights) \
-        + sum(abs(w) for _, w in circuit.direct_wires)
-    worst_gate = max((sum(abs(w) for _, w in g.inputs) for g in circuit.bottom),
-                     default=0)
-    if max(worst_top, worst_gate) >= ACCUMULATION_GUARD:
-        raise InputError("circuit weights exceed the accumulation guard")
+    check_accumulation(circuit)
     acc = np.zeros(rows, dtype=np.int64)
     for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
         gsum = np.zeros(rows, dtype=np.int64)

@@ -3,21 +3,26 @@
 The solver samples a random restriction that leaves each variable free with
 a probability tuned to the circuit's wire density, then enumerates all
 assignments to the non-free variables.  Each branch folds into a residual
-circuit over the free variables; when the restriction worked as intended the
-residual has few gates and is solved by guessing the gate outputs and running
-the split-and-list search on the resulting linear system.  Branches whose
-residual stays large fall back to exhaustive scanning, so the solver is
-always exact.
+circuit over the free variables whose gates are exactly the exceptional
+gates, those with two or more free inputs.  That set depends only on the
+free set, so the route is decided once per restriction and taken by every
+branch:
+
+* no exceptional gate: every residual is a single threshold over the free
+  variables, decided in closed form for whole blocks of branches at once;
+* at most the residual budget of them: each branch guesses its residual's
+  gate outputs and runs the split-and-list search on each guess;
+* more than the budget: one exhaustive scan of the cube, branch by branch.
+
+Every route is exact and every witness is checked before it is returned.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from threading import Event
 from typing import Collection, Iterable, Optional, Union
 
 import numpy as np
@@ -25,13 +30,14 @@ import numpy as np
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
 from .model import (Assignment, Restriction, ThresholdCircuit, WireStats,
-                    evaluate, evaluate_batch, simplify, wire_stats)
+                    check_accumulation, evaluate, evaluate_batch, simplify,
+                    wire_stats)
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_GUESS_GATES = 60
 MAX_BRANCH_BITS = 30
-_SCAN_CHUNK_BITS = 16
+_SCAN_CHUNK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,6 @@ def sat_few_gates(circuit: ThresholdCircuit, *,
 
 def _vector_scan(circuit, fixed: dict[int, int],
                  scan_vars: tuple[int, ...], cnt: WorkCounters,
-                 stop: Optional[Event] = None,
                  batch_eval=evaluate_batch) -> Optional[tuple[int, ...]]:
     """Scan all assignments to scan_vars (fixed vars held constant) in
     numpy chunks, stopping at the first satisfying row.
@@ -233,8 +238,6 @@ def _vector_scan(circuit, fixed: dict[int, int],
     for i, v in fixed.items():
         template[i] = v
     for base in range(0, total, chunk):
-        if stop is not None and stop.is_set():
-            return None
         width = min(chunk, total - base)
         idx = np.arange(base, base + width, dtype=np.uint64)
         block = np.broadcast_to(template, (width, n)).copy()
@@ -253,9 +256,13 @@ def _vector_scan(circuit, fixed: dict[int, int],
 class SolveOutcome:
     """Result of one solver run.
 
-    branches is the size of the enumerated branch space, 2^(n - |free|);
-    fallback_branches counts the branches that resorted to exhaustive
-    scanning instead of gate guessing.
+    branches is the size of the enumerated branch space, 2^(n - |free|).
+    fallback_branches counts the branches decided by exhaustive scanning
+    rather than by their residual: for the threshold solver, the branches
+    its single cube scan visited when the restriction left more exceptional
+    gates than the budget (all of them when the circuit is UNSAT, none on
+    the other routes); for the symmetric solver, the branches whose residual
+    had too many value tuples to guess.
     """
 
     satisfiable: bool
@@ -278,6 +285,84 @@ def _scan_outcome(circuit: ThresholdCircuit, cnt: WorkCounters,
                         restriction, params, cnt)
 
 
+def _closed_form_branches(circuit: ThresholdCircuit,
+                          assigned_vars: tuple[int, ...],
+                          free_order: tuple[int, ...],
+                          cnt: WorkCounters) -> Optional[tuple[int, ...]]:
+    """First branch whose residual is satisfiable, when no gate has two or
+    more free inputs, decided for blocks of branches at once.
+
+    Branch b sets assigned_vars[pos] to bit (bits - 1 - pos) of b.  Each
+    gate then is a constant or a literal of its one free input, so the
+    residual is one threshold: top constant T_b plus a weight w_b,i per free
+    variable.  It is satisfiable iff sum_i max(w_b,i, 0) >= T_b, and then
+    x_i = [w_b,i > 0] satisfies it.  Returns the total assignment of the
+    first such branch; cnt.assignments grows by the branches examined.
+    """
+    check_accumulation(circuit)
+    bits = len(assigned_vars)
+    shift = {var: bits - 1 - pos for pos, var in enumerate(assigned_vars)}
+    # free-variable weights that no branch changes: the direct wires
+    fixed_w = dict.fromkeys(free_order, 0)
+    top_terms = []
+    for idx, w in circuit.direct_wires:
+        if idx in fixed_w:
+            fixed_w[idx] += w
+        else:
+            top_terms.append((shift[idx], w))
+    # per gate: its assigned terms, its free input (variable, weight) or
+    # None, its threshold and its top weight
+    gates = []
+    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
+        terms = [(shift[i], w) for i, w in gate.inputs if i in shift]
+        free_in = [(i, w) for i, w in gate.inputs if i in fixed_w]
+        gates.append((terms, free_in[0] if free_in else None,
+                      gate.threshold, top_w))
+
+    total = 1 << bits
+    block = 1 << min(_SCAN_CHUNK_BITS, bits)
+    for lo in range(0, total, block):
+        width = min(block, total - lo)
+        idx = np.arange(lo, lo + width, dtype=np.int64)
+
+        def linear(terms):
+            acc = np.zeros(width, dtype=np.int64)
+            for sh, w in terms:
+                acc += w * ((idx >> sh) & 1)
+            return acc
+
+        top = linear(top_terms)
+        varying: dict[int, np.ndarray] = {}
+        for terms, free_in, threshold, top_w in gates:
+            base = linear(terms)
+            out0 = (base >= threshold).astype(np.int64)
+            top += top_w * out0
+            if free_in is not None:
+                var, w = free_in
+                out1 = (base + w >= threshold).astype(np.int64)
+                step = top_w * (out1 - out0)
+                varying[var] = varying[var] + step if var in varying else step
+        reach = top + sum(max(w, 0) for var, w in fixed_w.items()
+                          if var not in varying)
+        for var, w in varying.items():
+            reach += np.maximum(w + fixed_w[var], 0)
+        sat = reach >= circuit.top_threshold
+        if sat.any():
+            hit = int(np.argmax(sat))
+            cnt.assignments += hit + 1
+            b = lo + hit
+            values = [0] * circuit.n_vars
+            for var, sh in shift.items():
+                values[var] = (b >> sh) & 1
+            for var, w in fixed_w.items():
+                if var in varying:
+                    w += int(varying[var][hit])
+                values[var] = int(w > 0)
+            return tuple(values)
+        cnt.assignments += width
+    return None
+
+
 def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
           delta: Fraction = DEFAULT_DELTA,
           params: Optional[RestrictionParams] = None,
@@ -285,23 +370,29 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
           force_restriction: bool = False,
           fast_path_max_n: int = 20,
           few_gates_budget: Optional[float] = None,
-          threads: int = 1,
           max_branch_bits: int = MAX_BRANCH_BITS,
           counters: Optional[WorkCounters] = None) -> SolveOutcome:
     """Decide satisfiability of a depth-two threshold circuit, exactly.
 
     Small circuits are scanned outright; past fast_path_max_n variables the
     restriction pipeline takes over.  params and p override the derived
-    restriction knobs, few_gates_budget overrides the residual gate budget
-    (default 3*delta*|free|), and threads spreads the branch loop over a
-    thread pool.  The returned witness, if any, is verified before return.
+    restriction knobs, and few_gates_budget overrides the residual gate
+    budget (default 3*delta*|free|).
+
+    The restriction's exceptional-gate count m picks one route for every
+    branch.  With m = 0 all branches are decided in closed form and
+    cnt.assignments counts the branches examined.  With 0 < m <= budget each
+    branch guesses its residual's m gate outputs; cnt.assignments counts one
+    per branch and the split-and-list searches add their own work.  With
+    m > budget one scan of the cube, assigned variables most significant,
+    visits the branches in order; cnt.assignments counts the rows scanned
+    and fallback_branches the branches visited.  The returned witness, if
+    any, is verified before return.
     """
     cnt = counters if counters is not None else WorkCounters()
     n = circuit.n_vars
     if n < 1:
         raise InputError("circuit must have at least one variable")
-    if threads < 1:
-        raise InputError("threads must be at least 1")
     if n <= fast_path_max_n and not force_restriction:
         return _scan_outcome(circuit, cnt, None, None)
 
@@ -310,7 +401,7 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
         params = restriction_params(circuit, delta)
     if p is not None:
         params = replace(params, p=Fraction(p))
-    restriction, _ = sample_restriction(circuit, params, rng)
+    restriction, exceptional = sample_restriction(circuit, params, rng)
     free = restriction.free
     free_order = restriction.free_order
     assigned_vars = tuple(sorted(set(range(n)) - free))
@@ -328,52 +419,28 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
     budget = few_gates_budget if few_gates_budget is not None \
         else 3 * params.delta * len(free)
 
-    def run_range(lo: int, hi: int, wcnt: WorkCounters,
-                  stop: Event) -> tuple[Optional[tuple[int, ...]], int]:
-        fallbacks = 0
-        for b in range(lo, hi):
-            if stop.is_set():
-                return None, fallbacks
-            wcnt.assignments += 1
+    witness_values: Optional[tuple[int, ...]] = None
+    fallback_branches = 0
+    if exceptional > budget:
+        before = cnt.assignments
+        witness_values = _vector_scan(circuit, {}, assigned_vars + free_order,
+                                      cnt)
+        rows = cnt.assignments - before
+        fallback_branches = total if witness_values is None \
+            else ((rows - 1) >> len(free)) + 1
+    elif exceptional == 0:
+        witness_values = _closed_form_branches(circuit, assigned_vars,
+                                               free_order, cnt)
+    else:
+        for b in range(total):
+            cnt.assignments += 1
             assigned = {var: (b >> (bits - 1 - pos)) & 1
                         for pos, var in enumerate(assigned_vars)}
             branch = Restriction(assigned=assigned, free=free)
-            residual = simplify(circuit, branch)
-            if len(residual.bottom) <= budget:
-                found = sat_few_gates(residual, counters=wcnt)
-                if found is not None:
-                    return branch.combine(found.values), fallbacks
-            else:
-                fallbacks += 1
-                full = _vector_scan(circuit, assigned, free_order, wcnt, stop)
-                if full is not None:
-                    return full, fallbacks
-        return None, fallbacks
-
-    witness_values: Optional[tuple[int, ...]] = None
-    fallback_branches = 0
-    stop = Event()
-    if threads == 1:
-        witness_values, fallback_branches = run_range(0, total, cnt, stop)
-    else:
-        step = -(-total // threads)
-        parts = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        worker_counts = [WorkCounters() for _ in parts]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            def job(part, wcnt):
-                result = run_range(part[0], part[1], wcnt, stop)
-                if result[0] is not None:
-                    stop.set()
-                return result
-            futures = [pool.submit(job, part, wcnt)
-                       for part, wcnt in zip(parts, worker_counts)]
-            for fut in futures:
-                values, fallbacks = fut.result()
-                fallback_branches += fallbacks
-                if values is not None and witness_values is None:
-                    witness_values = values
-        for wcnt in worker_counts:
-            cnt.merge(wcnt)
+            found = sat_few_gates(simplify(circuit, branch), counters=cnt)
+            if found is not None:
+                witness_values = branch.combine(found.values)
+                break
 
     witness = Assignment(witness_values) if witness_values is not None else None
     if witness is not None:

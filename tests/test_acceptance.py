@@ -41,7 +41,7 @@ def test_criterion_01_threshold_solver_matches_brute():
         n = 8 + i % 9
         c = 1 + i % 3
         circuit = random_mixed_circuit(n, c * n, seed=i, weight_bound=10)
-        outcome = solve(circuit, seed=i, force_restriction=True, threads=1)
+        outcome = solve(circuit, seed=i, force_restriction=True)
         ref = brute_circuit_sat(circuit)
         assert outcome.satisfiable == (ref is not None), f"instance {i}"
         agreements += 1

@@ -46,7 +46,7 @@ def test_solve_and_oracle_agree_on_corpus():
 
 def test_solver_flags_accepted():
     res = run_cli("solve", "circuit", str(DATA / "tc_or.tc2"),
-                  "--seed", "7", "--force-restriction", "--threads", "2",
+                  "--seed", "7", "--force-restriction",
                   "--max-assigned", "20")
     assert res.returncode == 10
 
@@ -104,6 +104,14 @@ def test_bench_speedup_suite_runs():
     assert len(lines) == 2
     exponent = float(lines[1].split(",")[-1])
     assert 0.0 <= exponent < 1.0
+
+
+def test_bench_speedup_suite_forwards_shape():
+    res = run_cli("bench", "--n", "20", "--fan-in", "4", "--count", "1")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("tc-20-1-0,20,1,")
 
 
 def test_malformed_file_exits_one(tmp_path):

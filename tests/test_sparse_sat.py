@@ -1,6 +1,8 @@
 """Tests for the restriction pipeline on threshold circuits."""
 
+import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -174,14 +176,80 @@ def test_solve_explicit_p_override():
     assert len(outcome.restriction.free) > 0
 
 
-def test_solve_threads_agree():
+def test_solve_p_third_matches_brute():
     for seed in range(6):
         circuit = random_mixed_circuit(12, 30, seed=seed)
-        single = solve(circuit, seed=seed, p=Fraction(1, 3),
-                       force_restriction=True)
-        multi = solve(circuit, seed=seed, p=Fraction(1, 3),
-                      force_restriction=True, threads=4)
-        assert single.satisfiable == multi.satisfiable
+        outcome = solve(circuit, seed=seed, p=Fraction(1, 3),
+                        force_restriction=True)
+        assert outcome.satisfiable == (brute_circuit_sat(circuit) is not None)
+        if outcome.witness is not None:
+            assert evaluate(circuit, outcome.witness)
+
+
+def _product_oracle(circuit):
+    """Satisfiability by plain enumeration over evaluate; shares no scan
+    code with the solver it checks."""
+    return any(evaluate(circuit, values)
+               for values in itertools.product((0, 1), repeat=circuit.n_vars))
+
+
+def _peak_top_sum(circuit):
+    """Largest top-gate sum over the cube, by plain enumeration."""
+    peak = None
+    for values in itertools.product((0, 1), repeat=circuit.n_vars):
+        total = sum(top_w for gate, top_w in zip(circuit.bottom,
+                                                 circuit.top_gate_weights)
+                    if sum(w * values[i] for i, w in gate.inputs)
+                    >= gate.threshold)
+        total += sum(w * values[i] for i, w in circuit.direct_wires)
+        peak = total if peak is None else max(peak, total)
+    return peak
+
+
+@pytest.mark.parametrize("p, budget, routes", [
+    (Fraction(1, 4), None, {"closed", "scan"}),
+    (Fraction(1, 2), None, {"closed", "scan"}),
+    (Fraction(1), None, {"scan"}),
+    (Fraction(1, 2), 4, {"closed", "guess"}),
+])
+def test_forced_restriction_routes_match_product_oracle(p, budget, routes):
+    """Each circuit is solved with its top threshold at the largest top sum
+    (few witnesses) and one above it (UNSAT); every route the restriction
+    can pick must be taken, the scan route on an UNSAT instance."""
+    taken = set()
+    for seed in range(16):
+        n = 8 + seed % 4
+        base = random_mixed_circuit(n, n + seed % n, seed=seed,
+                                    weight_bound=10, direct_count=n // 2)
+        peak = _peak_top_sum(base)
+        for top in (peak, peak + 1):
+            circuit = replace(base, top_threshold=top)
+            cnt = WorkCounters()
+            outcome = solve(circuit, seed=seed, p=p, force_restriction=True,
+                            few_gates_budget=budget, counters=cnt)
+            sat = _product_oracle(circuit)
+            assert sat == (top == peak)
+            assert outcome.satisfiable == sat, (seed, top)
+            if outcome.witness is not None:
+                assert evaluate(circuit, outcome.witness)
+            free = outcome.restriction.free
+            if not free:
+                continue
+            m = len(exceptional_gates(circuit, free))
+            limit = budget if budget is not None \
+                else 3 * outcome.params.delta * len(free)
+            if m == 0:
+                assert outcome.fallback_branches == 0 and cnt.guesses == 0
+                taken.add("closed")
+            elif m <= limit:
+                assert cnt.guesses > 0 and outcome.fallback_branches == 0
+                taken.add("guess")
+            else:
+                assert outcome.fallback_branches > 0
+                if not sat:
+                    assert outcome.fallback_branches == outcome.branches
+                    taken.add("scan")
+    assert taken == routes
 
 
 def test_solve_branch_guard():
