@@ -6,15 +6,15 @@ machinery (restriction parameters, vector domination, text formats).
 """
 from .counters import WorkCounters
 from .errors import InputError, ParseError, ResourceGuardError
-from .model import (Assignment, Restriction, ThresholdCircuit, ThresholdGate,
-                    evaluate, simplify, wire_stats)
+from .model import (Assignment, Predicate, Restriction, SymmetricCircuit,
+                    SymmetricGate, ThresholdCircuit, ThresholdGate, evaluate,
+                    simplify, wire_stats)
 from .oracle import (GenSpec, brute_circuit_sat, brute_domination, brute_ilp,
                      generate)
 from .sparse_sat import SolveOutcome, solve
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
-from .symsat import (EqRow, EqSystem, Predicate, SymmetricCircuit,
-                     SymmetricGate, evaluate_symmetric,
-                     solve_boolean_linear_system, solve_symmetric)
+from .symsat import (EqRow, EqSystem, solve_boolean_linear_system,
+                     solve_symmetric)
 from .vecdom import DominationInstance, TaggedVector, find_dominating_pair
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "ResourceGuardError", "Restriction", "Row", "SolveOutcome",
     "SymmetricCircuit", "SymmetricGate", "TaggedVector", "ThresholdCircuit",
     "ThresholdGate", "WorkCounters", "brute_circuit_sat", "brute_domination",
-    "brute_ilp", "evaluate", "evaluate_symmetric", "find_dominating_pair",
+    "brute_ilp", "evaluate", "find_dominating_pair",
     "generate", "simplify", "solve", "solve_boolean_linear_system",
     "solve_ilp", "solve_symmetric", "wire_stats", "__version__",
 ]

@@ -77,43 +77,41 @@ def _timed(fn):
     return result, time.perf_counter_ns() - start
 
 
+def _bench_circuit_solver(count: int, n: int, c: int, seed: int,
+                          force_restriction: bool, prefix: str, label: str,
+                          solver, **spec) -> list[BenchRecord]:
+    """Generate count circuits from spec and time solver on each."""
+    out = []
+    for i in range(count):
+        circuit = generate(GenSpec(n=n, c=c, seed=seed + i, **spec))
+        cnt = WorkCounters()
+        outcome, elapsed = _timed(lambda: solver(
+            circuit, seed=seed + i, force_restriction=force_restriction,
+            counters=cnt))
+        out.append(_record(f"{prefix}-{n}-{c}-{seed + i}", n, c, label,
+                           outcome.satisfiable, elapsed, cnt))
+    return out
+
+
 def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
                    fan_in: Optional[int] = None,
                    weight_bound: int = 8,
                    force_restriction: bool = False) -> list[BenchRecord]:
     """Threshold-circuit suite through the restriction solver."""
-    out = []
     dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
-    for i in range(count):
-        spec = GenSpec(kind="threshold_circuit", n=n, c=c, seed=seed + i,
-                       weight_bound=weight_bound, distribution=dist,
-                       fan_in=fan_in)
-        circuit = generate(spec)
-        cnt = WorkCounters()
-        outcome, elapsed = _timed(lambda: solve(
-            circuit, seed=seed + i, force_restriction=force_restriction,
-            counters=cnt))
-        out.append(_record(f"tc-{n}-{c}-{seed + i}", n, c, "solve",
-                           outcome.satisfiable, elapsed, cnt))
-    return out
+    return _bench_circuit_solver(
+        count, n, c, seed, force_restriction, "tc", "solve", solve,
+        kind="threshold_circuit", weight_bound=weight_bound,
+        distribution=dist, fan_in=fan_in)
 
 
 def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
                     weight_bound: int = 3,
                     force_restriction: bool = False) -> list[BenchRecord]:
     """Symmetric-circuit suite through the value-guessing solver."""
-    out = []
-    for i in range(count):
-        spec = GenSpec(kind="symmetric_circuit", n=n, c=c, seed=seed + i,
-                       weight_bound=weight_bound)
-        circuit = generate(spec)
-        cnt = WorkCounters()
-        outcome, elapsed = _timed(lambda: solve_symmetric(
-            circuit, seed=seed + i, force_restriction=force_restriction,
-            counters=cnt))
-        out.append(_record(f"sc-{n}-{c}-{seed + i}", n, c, "solve_symmetric",
-                           outcome.satisfiable, elapsed, cnt))
-    return out
+    return _bench_circuit_solver(
+        count, n, c, seed, force_restriction, "sc", "solve_symmetric",
+        solve_symmetric, kind="symmetric_circuit", weight_bound=weight_bound)
 
 
 def bench_ilp(count: int, n: int, rows: int, *, arity: int = 2,

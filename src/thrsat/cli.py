@@ -47,30 +47,19 @@ def _print_counters(cnt: WorkCounters) -> None:
 def _run_instance(args, use_oracle: bool) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     cnt = WorkCounters()
-    if args.kind == "circuit":
-        circuit = parse_circuit(text)
+    if args.kind in ("circuit", "symmetric"):
+        circuit = parse_circuit(text) if args.kind == "circuit" \
+            else parse_symmetric(text)
         if use_oracle:
             witness = brute_circuit_sat(circuit, counters=cnt)
         else:
             kwargs = {}
             if args.max_assigned is not None:
                 kwargs["max_branch_bits"] = args.max_assigned
-            outcome = solve(circuit, seed=args.seed,
-                            force_restriction=args.force_restriction,
-                            counters=cnt, **kwargs)
-            witness = outcome.witness
-    elif args.kind == "symmetric":
-        circuit = parse_symmetric(text)
-        if use_oracle:
-            witness = brute_circuit_sat(circuit, counters=cnt)
-        else:
-            kwargs = {}
-            if args.max_assigned is not None:
-                kwargs["max_branch_bits"] = args.max_assigned
-            outcome = solve_symmetric(circuit, seed=args.seed,
-                                      force_restriction=args.force_restriction,
-                                      counters=cnt, **kwargs)
-            witness = outcome.witness
+            solver = solve if args.kind == "circuit" else solve_symmetric
+            witness = solver(circuit, seed=args.seed,
+                             force_restriction=args.force_restriction,
+                             counters=cnt, **kwargs).witness
     else:
         system = parse_ilp(text)
         if use_oracle:
@@ -103,13 +92,9 @@ def _cmd_gen(args) -> int:
                    c=args.c, rows=args.rows, weight_bound=args.weight_bound,
                    arity=args.arity, distribution=args.distribution,
                    fan_in=args.fan_in)
-    instance = generate(spec)
-    if args.kind == "circuit":
-        sys.stdout.write(emit_circuit(instance))
-    elif args.kind == "symmetric":
-        sys.stdout.write(emit_symmetric(instance))
-    else:
-        sys.stdout.write(emit_ilp(instance))
+    emit = {"circuit": emit_circuit, "symmetric": emit_symmetric,
+            "ilp": emit_ilp}[args.kind]
+    sys.stdout.write(emit(generate(spec)))
     return 0
 
 

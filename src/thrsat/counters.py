@@ -24,10 +24,3 @@ class WorkCounters:
     def total(self) -> int:
         return (self.assignments + self.vectors + self.comparisons
                 + self.guesses + self.eq_solves)
-
-    def merge(self, other: "WorkCounters") -> None:
-        self.assignments += other.assignments
-        self.vectors += other.vectors
-        self.comparisons += other.comparisons
-        self.guesses += other.guesses
-        self.eq_solves += other.eq_solves

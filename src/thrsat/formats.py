@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
-from .model import Assignment, ThresholdCircuit, ThresholdGate
+from .model import (Assignment, Predicate, PredKind, SymmetricCircuit,
+                    SymmetricGate, require_threshold)
 from .splitlist import IneqSystem, Rel, Row
-from .symsat import Predicate, PredKind, SymmetricCircuit, SymmetricGate
 
 INT_BOUND = 1 << 31
 MAX_WITNESS_ARITY = 10
@@ -86,6 +86,17 @@ def _term(token: str, lineno: int, prefix: str = "") -> tuple[int, int]:
     return idx, _int(tail, lineno)
 
 
+def _inputs(tokens: list[str], lineno: int, n: int, what: str
+            ) -> tuple[tuple[int, int], ...]:
+    """Parse `<idx>:<w>` terms whose indices must lie below n."""
+    terms = tuple(_term(t, lineno) for t in tokens)
+    for idx, _ in terms:
+        if idx >= n:
+            raise ParseError(lineno, f"{what} reads x{idx} but the header "
+                             f"declares {n} variables")
+    return terms
+
+
 def _build(lineno: int, factory, *args):
     try:
         return factory(*args)
@@ -99,7 +110,10 @@ def _header(lines: _Lines, tag: str, fields: int) -> tuple[int, list[int]]:
         raise ParseError(lineno, f"expected `{tag}` header, got {tokens[0]!r}")
     if len(tokens) != 1 + fields:
         raise ParseError(lineno, f"`{tag}` header takes {fields} fields")
-    return lineno, [_int(t, lineno) for t in tokens[1:]]
+    values = [_int(t, lineno) for t in tokens[1:]]
+    if any(v < 0 for v in values):
+        raise ParseError(lineno, f"`{tag}` header fields must be nonnegative")
+    return lineno, values
 
 
 def _top_terms(tokens: list[str], lineno: int, m: int
@@ -125,28 +139,8 @@ def _top_terms(tokens: list[str], lineno: int, m: int
     return weights, tuple(sorted(direct.items()))
 
 
-def parse_circuit(text: Union[str, Iterable[str]]) -> ThresholdCircuit:
-    lines = _Lines(text)
-    _, (n, m) = _header(lines, "tc2", 2)
-    gates = []
-    for _ in range(m):
-        lineno, tokens = lines.take("a `gate` line")
-        if tokens[0] != "gate" or len(tokens) < 3:
-            raise ParseError(lineno, "expected `gate <t> <idx>:<w> ...`")
-        threshold = _int(tokens[1], lineno)
-        inputs = tuple(_term(t, lineno) for t in tokens[2:])
-        gates.append(_build(lineno, ThresholdGate, inputs, threshold))
-    lineno, tokens = lines.take("a `top` line")
-    if tokens[0] != "top" or len(tokens) < 2:
-        raise ParseError(lineno, "expected `top <T> g<j>:<w> ... x<i>:<w> ...`")
-    top_threshold = _int(tokens[1], lineno)
-    weights, direct = _top_terms(tokens[2:], lineno, m)
-    lines.expect_end()
-    return _build(lineno, ThresholdCircuit, n, tuple(gates), weights, direct,
-                  top_threshold)
-
-
 def _parse_pred(tokens: list[str], lineno: int) -> tuple[Predicate, list[str]]:
+    """An `sc2` predicate: its kind, then its parameters."""
     if not tokens:
         raise ParseError(lineno, "missing predicate")
     kind, rest = tokens[0], tokens[1:]
@@ -169,27 +163,42 @@ def _parse_pred(tokens: list[str], lineno: int) -> tuple[Predicate, list[str]]:
     raise ParseError(lineno, f"unknown predicate kind {kind!r}")
 
 
-def parse_symmetric(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
-    lines = _Lines(text)
-    _, (n, m, c) = _header(lines, "sc2", 3)
+def _parse_gates(lines: _Lines, n: int, m: int, gate_word: str,
+                 top_word: str, parse_pred, density=None) -> SymmetricCircuit:
+    """The m gate lines and the top line that follow a circuit header; the
+    two circuit formats differ only in their keywords and predicates."""
     gates = []
     for _ in range(m):
-        lineno, tokens = lines.take("an `sgate` line")
-        if tokens[0] != "sgate":
-            raise ParseError(lineno, "expected `sgate <pred> <idx>:<w> ...`")
-        pred, rest = _parse_pred(tokens[1:], lineno)
+        lineno, tokens = lines.take(f"a `{gate_word}` line")
+        if tokens[0] != gate_word:
+            raise ParseError(lineno, f"expected a `{gate_word}` line")
+        pred, rest = parse_pred(tokens[1:], lineno)
         if not rest:
             raise ParseError(lineno, "gate has no inputs")
-        inputs = tuple(_term(t, lineno) for t in rest)
+        inputs = _inputs(rest, lineno, n, "gate")
         gates.append(_build(lineno, SymmetricGate, inputs, pred))
-    lineno, tokens = lines.take("a `stop` line")
-    if tokens[0] != "stop":
-        raise ParseError(lineno, "expected `stop <pred> g<j>:<w> ... x<i>:<w> ...`")
-    pred, rest = _parse_pred(tokens[1:], lineno)
+    lineno, tokens = lines.take(f"a `{top_word}` line")
+    if tokens[0] != top_word:
+        raise ParseError(lineno, f"expected a `{top_word}` line")
+    pred, rest = parse_pred(tokens[1:], lineno)
     weights, direct = _top_terms(rest, lineno, m)
     lines.expect_end()
     return _build(lineno, SymmetricCircuit, n, tuple(gates), weights, direct,
-                  pred, c)
+                  pred, density)
+
+
+def parse_circuit(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
+    lines = _Lines(text)
+    _, (n, m) = _header(lines, "tc2", 2)
+    # a `tc2` threshold t is the `sc2` predicate `ge t`
+    return _parse_gates(lines, n, m, "gate", "top",
+                        lambda tokens, lineno: _parse_pred(["ge", *tokens], lineno))
+
+
+def parse_symmetric(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
+    lines = _Lines(text)
+    _, (n, m, c) = _header(lines, "sc2", 3)
+    return _parse_gates(lines, n, m, "sgate", "stop", _parse_pred, c)
 
 
 def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
@@ -204,7 +213,7 @@ def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
         if rel is None:
             raise ParseError(lineno, f"unknown relation {tokens[1]!r}")
         rhs = _int(tokens[2], lineno)
-        coeffs = tuple(_term(t, lineno) for t in tokens[3:])
+        coeffs = _inputs(tokens[3:], lineno, n, "row")
         rows.append(_build(lineno, Row, coeffs, rel, rhs))
     lines.expect_end()
     last = lines.items[-1][0] if lines.items else 1
@@ -215,19 +224,23 @@ def _emit_terms(terms: Sequence[tuple[int, int]], prefix: str = "") -> str:
     return " ".join(f"{prefix}{i}:{w}" for i, w in terms)
 
 
-def emit_circuit(circuit: ThresholdCircuit) -> str:
+def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
+    """The top line: head, then the nonzero gate weights and the direct
+    wires."""
+    gate_terms = tuple((j, w) for j, w in enumerate(circuit.top_gate_weights) if w)
+    return " ".join(part for part in (head, _emit_terms(gate_terms, "g"),
+                                      _emit_terms(circuit.direct_wires, "x"))
+                    if part)
+
+
+def emit_circuit(circuit: SymmetricCircuit) -> str:
+    """`tc2` text of a threshold circuit; InputError for any predicate other
+    than `ge`."""
+    require_threshold(circuit, "emit_circuit")
     out = [f"tc2 {circuit.n_vars} {len(circuit.bottom)}"]
     for gate in circuit.bottom:
-        out.append(f"gate {gate.threshold} {_emit_terms(gate.inputs)}")
-    top = [f"top {circuit.top_threshold}"]
-    gate_terms = _emit_terms(tuple((j, w) for j, w in
-                                   enumerate(circuit.top_gate_weights) if w), "g")
-    if gate_terms:
-        top.append(gate_terms)
-    direct_terms = _emit_terms(circuit.direct_wires, "x")
-    if direct_terms:
-        top.append(direct_terms)
-    out.append(" ".join(top))
+        out.append(f"gate {gate.pred.params[0]} {_emit_terms(gate.inputs)}")
+    out.append(_emit_top(circuit, f"top {circuit.top_pred.params[0]}"))
     return "\n".join(out) + "\n"
 
 
@@ -246,15 +259,7 @@ def emit_symmetric(circuit: SymmetricCircuit) -> str:
     out = [f"sc2 {circuit.n_vars} {len(circuit.bottom)} {density}"]
     for gate in circuit.bottom:
         out.append(f"sgate {_emit_pred(gate.pred)} {_emit_terms(gate.inputs)}")
-    top = [f"stop {_emit_pred(circuit.top_pred)}"]
-    gate_terms = _emit_terms(tuple((j, w) for j, w in
-                                   enumerate(circuit.top_gate_weights) if w), "g")
-    if gate_terms:
-        top.append(gate_terms)
-    direct_terms = _emit_terms(circuit.direct_wires, "x")
-    if direct_terms:
-        top.append(direct_terms)
-    out.append(" ".join(top))
+    out.append(_emit_top(circuit, f"stop {_emit_pred(circuit.top_pred)}"))
     return "\n".join(out) + "\n"
 
 

@@ -1,16 +1,20 @@
-"""Data model for depth-two threshold circuits.
+"""Data model for depth-two circuits of symmetric gates.
 
-A circuit has one layer of linear threshold gates feeding a single threshold
-gate at the top.  The top gate may also read input variables directly
-("direct wires").  All weights and thresholds are integers; inputs are
-Boolean.  Sparseness is measured in bottom-layer wires: a gate with k inputs
-contributes k wires, direct wires are not counted.
+A circuit has one layer of gates feeding a single gate at the top.  Every
+gate applies a predicate (threshold, equality, congruence, or membership in
+a finite set) to an integer-weighted sum of its Boolean inputs; the top gate
+may also read input variables directly ("direct wires").  A threshold
+circuit is the member of this family whose predicates are all `ge`, built by
+ThresholdGate and ThresholdCircuit.  Sparseness is measured in bottom-layer
+wires: a gate with k inputs contributes k wires, direct wires are not
+counted.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from enum import Enum
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,17 +27,105 @@ MAX_ABS_WEIGHT = 1 << 31
 ACCUMULATION_GUARD = 1 << 62
 
 
-@dataclass(frozen=True)
-class ThresholdGate:
-    """Fires (outputs 1) when the weighted sum of its inputs reaches the threshold."""
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already known to
+    be valid, without running its validation; for objects built in hot
+    loops from parts of a validated one."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
+
+class PredKind(str, Enum):
+    GE = "ge"
+    EQ = "eq"
+    MOD = "mod"
+    MEMBER = "set"
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """A predicate on an integer, applied to a gate's weighted input sum."""
+
+    kind: PredKind
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", PredKind(self.kind))
+        object.__setattr__(self, "params", tuple(int(v) for v in self.params))
+        if self.kind in (PredKind.GE, PredKind.EQ):
+            if len(self.params) != 1:
+                raise InputError(f"{self.kind.value} takes exactly one parameter")
+        elif self.kind is PredKind.MOD:
+            if len(self.params) != 2:
+                raise InputError("mod takes a modulus and a residue")
+            m, r = self.params
+            if m < 1:
+                raise InputError("modulus must be positive")
+            if not 0 <= r < m:
+                raise InputError("residue must lie in 0..modulus-1")
+        else:
+            if not self.params:
+                raise InputError("membership predicate needs at least one value")
+            if len(set(self.params)) != len(self.params):
+                raise InputError("duplicate value in membership predicate")
+            object.__setattr__(self, "params", tuple(sorted(self.params)))
+
+    @classmethod
+    def ge(cls, t: int) -> "Predicate":
+        return cls(PredKind.GE, (t,))
+
+    @classmethod
+    def eq(cls, v: int) -> "Predicate":
+        return cls(PredKind.EQ, (v,))
+
+    @classmethod
+    def mod(cls, m: int, r: int) -> "Predicate":
+        return cls(PredKind.MOD, (m, r))
+
+    @classmethod
+    def members(cls, values: Sequence[int]) -> "Predicate":
+        return cls(PredKind.MEMBER, tuple(values))
+
+    def holds(self, s: int) -> bool:
+        if self.kind is PredKind.GE:
+            return s >= self.params[0]
+        if self.kind is PredKind.EQ:
+            return s == self.params[0]
+        if self.kind is PredKind.MOD:
+            return s % self.params[0] == self.params[1]
+        return s in self.params
+
+    def holds_batch(self, sums: np.ndarray) -> np.ndarray:
+        if self.kind is PredKind.GE:
+            return sums >= self.params[0]
+        if self.kind is PredKind.EQ:
+            return sums == self.params[0]
+        if self.kind is PredKind.MOD:
+            return sums % self.params[0] == self.params[1]
+        return np.isin(sums, np.asarray(self.params, dtype=np.int64))
+
+    def shifted(self, base: int) -> "Predicate":
+        """The predicate q with q(s) == holds(s + base), for folding constant
+        contributions out of a gate's input sum."""
+        if self.kind is PredKind.MOD:
+            m, r = self.params
+            params = (m, (r - base) % m)
+        else:
+            # subtracting a constant keeps a membership list sorted and distinct
+            params = tuple(v - base for v in self.params)
+        return _trusted(Predicate, kind=self.kind, params=params)
+
+
+@dataclass(frozen=True)
+class SymmetricGate:
     inputs: tuple[tuple[int, int], ...]
-    threshold: int
+    pred: Predicate
 
     def __post_init__(self):
         object.__setattr__(self, "inputs",
                            tuple((int(i), int(w)) for i, w in self.inputs))
-        object.__setattr__(self, "threshold", int(self.threshold))
         seen = set()
         for idx, w in self.inputs:
             if w == 0:
@@ -48,14 +140,26 @@ class ThresholdGate:
     def fan_in(self) -> int:
         return len(self.inputs)
 
+    @property
+    def weighted_fan_in(self) -> int:
+        return sum(abs(w) for _, w in self.inputs)
+
 
 @dataclass(frozen=True)
-class ThresholdCircuit:
+class SymmetricCircuit:
+    """Depth-two circuit of symmetric gates.
+
+    declared_density, when set, is the wire budget c from the text format
+    header; the weighted wire count must stay within c * n_vars.  It has no
+    effect on semantics.
+    """
+
     n_vars: int
-    bottom: tuple[ThresholdGate, ...]
+    bottom: tuple[SymmetricGate, ...]
     top_gate_weights: tuple[int, ...]
     direct_wires: tuple[tuple[int, int], ...]
-    top_threshold: int
+    top_pred: Predicate
+    declared_density: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bottom", tuple(self.bottom))
@@ -63,7 +167,6 @@ class ThresholdCircuit:
                            tuple(int(w) for w in self.top_gate_weights))
         object.__setattr__(self, "direct_wires",
                            tuple((int(i), int(w)) for i, w in self.direct_wires))
-        object.__setattr__(self, "top_threshold", int(self.top_threshold))
         if self.n_vars < 0:
             raise InputError("n_vars must be nonnegative")
         if len(self.top_gate_weights) != len(self.bottom):
@@ -81,10 +184,41 @@ class ThresholdCircuit:
             if idx in seen:
                 raise InputError(f"duplicate direct wire on x{idx}")
             seen.add(idx)
+        if self.declared_density is not None \
+                and self.weighted_wires > self.declared_density * self.n_vars:
+            raise InputError("weighted wires exceed the declared density budget")
+
+    @property
+    def weighted_wires(self) -> int:
+        return sum(g.weighted_fan_in for g in self.bottom)
 
     @property
     def wires(self) -> int:
         return sum(g.fan_in for g in self.bottom)
+
+
+def ThresholdGate(inputs: Sequence[tuple[int, int]], threshold: int) -> SymmetricGate:
+    """A gate that fires when the weighted sum of its inputs reaches the
+    threshold."""
+    return SymmetricGate(inputs, Predicate.ge(threshold))
+
+
+def ThresholdCircuit(n_vars: int, bottom: Sequence[SymmetricGate],
+                     top_gate_weights: Sequence[int],
+                     direct_wires: Sequence[tuple[int, int]],
+                     top_threshold: int) -> SymmetricCircuit:
+    """A circuit whose top gate accepts when its weighted sum reaches
+    top_threshold."""
+    return SymmetricCircuit(n_vars, bottom, top_gate_weights, direct_wires,
+                            Predicate.ge(top_threshold))
+
+
+def require_threshold(circuit: SymmetricCircuit, what: str) -> None:
+    """Refuse a circuit with a predicate other than `ge`."""
+    if circuit.top_pred.kind is not PredKind.GE \
+            or any(g.pred.kind is not PredKind.GE for g in circuit.bottom):
+        raise InputError(f"{what} takes threshold circuits, whose predicates "
+                         "are all `ge`")
 
 
 @dataclass(frozen=True)
@@ -166,111 +300,123 @@ class WireStats:
 AssignmentLike = Union[Assignment, Sequence[int]]
 
 
-def _boolean_values(n: int, assignment: AssignmentLike) -> Sequence[int]:
+def evaluate(circuit: SymmetricCircuit, assignment: AssignmentLike) -> bool:
+    """Evaluate the circuit: a gate fires iff its predicate holds on its
+    weighted input sum, the circuit accepts iff the top predicate holds on
+    the top weighted sum."""
+    values = assignment
     if isinstance(assignment, Assignment):
         if assignment.arity != 2:
-            raise InputError("threshold circuits take Boolean assignments")
+            raise InputError("circuits take Boolean assignments")
         values = assignment.values
-    else:
-        values = assignment
-    if len(values) != n:
-        raise InputError(f"assignment has {len(values)} values, circuit has {n} variables")
+    if len(values) != circuit.n_vars:
+        raise InputError(f"assignment has {len(values)} values, circuit has "
+                         f"{circuit.n_vars} variables")
     for v in values:
         if v not in (0, 1):
             raise InputError("assignment values must be 0 or 1")
-    return values
-
-
-def evaluate(circuit: ThresholdCircuit, assignment: AssignmentLike) -> bool:
-    """Evaluate the circuit: gate fires iff its weighted sum reaches its
-    threshold, the circuit accepts iff the top weighted sum reaches the top
-    threshold."""
-    values = _boolean_values(circuit.n_vars, assignment)
     total = 0
     for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
         s = 0
         for idx, w in gate.inputs:
             s += w * values[idx]
-        if s >= gate.threshold:
+        if gate.pred.holds(s):
             total += top_w
     for idx, w in circuit.direct_wires:
         total += w * values[idx]
-    return total >= circuit.top_threshold
+    return circuit.top_pred.holds(total)
 
 
-def simplify(circuit: ThresholdCircuit, restriction: Restriction) -> ThresholdCircuit:
-    """Fold a restriction into the circuit, producing an equivalent circuit
-    over the free variables only (re-indexed in ascending order).
+def branch_folder(circuit: SymmetricCircuit, assigned_vars: Sequence[int],
+                  free_order: Sequence[int]
+                  ) -> Callable[[int], SymmetricCircuit]:
+    """Fold function for the branches of one restriction.
+
+    assigned_vars and free_order partition the variables, free_order
+    ascending.  The returned fold(b) takes the branch that sets
+    assigned_vars[pos] to bit (len(assigned_vars) - 1 - pos) of b and
+    returns the equivalent residual circuit over the free variables,
+    re-indexed in free_order.
 
     Gates left with no free inputs become constants absorbed into the top
-    threshold.  Gates left with exactly one free input are equivalent to a
-    constant, the literal x, or the literal 1-x; all three fold into the top
-    gate's threshold and direct wires.  Gates with two or more free inputs are
-    kept with their threshold shifted by the assigned contribution.
+    predicate.  Gates left with exactly one free input are equivalent to a
+    constant, the literal x, or the literal 1-x, because a Boolean input
+    only produces two sums; all three fold into the top predicate and the
+    direct wires.  Gates with two or more free inputs are kept with their
+    predicate shifted by the assigned contribution.  Which inputs are
+    assigned is worked out once here, not per branch.
     """
+    bits = len(assigned_vars)
+    shift = {var: bits - 1 - pos for pos, var in enumerate(assigned_vars)}
+    new_index = {var: k for k, var in enumerate(free_order)}
+    gates = []
+    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
+        fixed = tuple((shift[i], w) for i, w in gate.inputs if i in shift)
+        free = tuple((new_index[i], w) for i, w in gate.inputs if i in new_index)
+        gates.append((gate.pred, fixed, free, top_w))
+    direct_fixed = tuple((shift[i], w) for i, w in circuit.direct_wires
+                         if i in shift)
+    direct_free = {new_index[i]: w for i, w in circuit.direct_wires
+                   if i in new_index}
+
+    def fold(b: int) -> SymmetricCircuit:
+        kept_gates: list[SymmetricGate] = []
+        kept_weights: list[int] = []
+        direct = dict(direct_free)
+        top_constant = 0
+        for sh, w in direct_fixed:
+            if b >> sh & 1:
+                top_constant += w
+        for pred, fixed, free, top_w in gates:
+            base = 0
+            for sh, w in fixed:
+                if b >> sh & 1:
+                    base += w
+            if not free:
+                if pred.holds(base):
+                    top_constant += top_w
+            elif len(free) == 1:
+                nix, w = free[0]
+                out0 = pred.holds(base)
+                out1 = pred.holds(base + w)
+                if out0:
+                    top_constant += top_w
+                if out0 != out1:     # the gate is x (out1) or 1 - x (out0)
+                    direct[nix] = direct.get(nix, 0) + (top_w if out1 else -top_w)
+            else:
+                kept_gates.append(_trusted(SymmetricGate, inputs=free,
+                                           pred=pred.shifted(base)))
+                kept_weights.append(top_w)
+        return _trusted(
+            SymmetricCircuit, n_vars=len(new_index), bottom=tuple(kept_gates),
+            top_gate_weights=tuple(kept_weights),
+            direct_wires=tuple((i, w) for i, w in sorted(direct.items()) if w),
+            top_pred=circuit.top_pred.shifted(top_constant),
+            declared_density=None)
+
+    return fold
+
+
+def simplify(circuit: SymmetricCircuit,
+             restriction: Restriction) -> SymmetricCircuit:
+    """Fold a restriction into the circuit, producing an equivalent circuit
+    over the free variables only (re-indexed in ascending order)."""
     if restriction.n_vars != circuit.n_vars:
         raise InputError("restriction size does not match the circuit")
-    order = restriction.free_order
-    new_index = {v: k for k, v in enumerate(order)}
-    assigned = restriction.assigned
-
-    kept_gates: list[ThresholdGate] = []
-    kept_weights: list[int] = []
-    direct_accum: dict[int, int] = {}
-    top_constant = 0
-
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        base = 0
-        free_inputs: list[tuple[int, int]] = []
-        for idx, w in gate.inputs:
-            if idx in assigned:
-                base += w * assigned[idx]
-            else:
-                free_inputs.append((new_index[idx], w))
-        if not free_inputs:
-            if base >= gate.threshold:
-                top_constant += top_w
-        elif len(free_inputs) == 1:
-            nix, w = free_inputs[0]
-            out0 = base >= gate.threshold
-            out1 = base + w >= gate.threshold
-            if out0 and out1:
-                top_constant += top_w
-            elif out1 and not out0:          # gate output equals the variable
-                direct_accum[nix] = direct_accum.get(nix, 0) + top_w
-            elif out0 and not out1:          # gate output equals its negation
-                top_constant += top_w
-                direct_accum[nix] = direct_accum.get(nix, 0) - top_w
-            # both false: the gate never fires and disappears
-        else:
-            kept_gates.append(ThresholdGate(tuple(free_inputs),
-                                            gate.threshold - base))
-            kept_weights.append(top_w)
-
-    for idx, w in circuit.direct_wires:
-        if idx in assigned:
-            top_constant += w * assigned[idx]
-        else:
-            nix = new_index[idx]
-            direct_accum[nix] = direct_accum.get(nix, 0) + w
-
-    direct = tuple((i, w) for i, w in sorted(direct_accum.items()) if w != 0)
-    return ThresholdCircuit(
-        n_vars=len(order),
-        bottom=tuple(kept_gates),
-        top_gate_weights=tuple(kept_weights),
-        direct_wires=direct,
-        top_threshold=circuit.top_threshold - top_constant,
-    )
+    assigned_vars = sorted(restriction.assigned)
+    b = 0
+    for var in assigned_vars:
+        b = b << 1 | restriction.assigned[var]
+    return branch_folder(circuit, assigned_vars, restriction.free_order)(b)
 
 
-def wire_stats(circuit: ThresholdCircuit) -> WireStats:
+def wire_stats(circuit: SymmetricCircuit) -> WireStats:
     """Multiset of bottom-gate fan-ins and the total bottom-layer wire count."""
     fanins = Counter(g.fan_in for g in circuit.bottom)
     return WireStats(fanins=fanins, total=sum(g.fan_in for g in circuit.bottom))
 
 
-def check_accumulation(circuit: ThresholdCircuit) -> None:
+def check_accumulation(circuit: SymmetricCircuit) -> None:
     """Refuse circuits whose gate or top sums could leave int64.
 
     Every bottom-gate sum is bounded by its absolute weight total and every
@@ -279,13 +425,12 @@ def check_accumulation(circuit: ThresholdCircuit) -> None:
     """
     worst_top = sum(abs(w) for w in circuit.top_gate_weights) \
         + sum(abs(w) for _, w in circuit.direct_wires)
-    worst_gate = max((sum(abs(w) for _, w in g.inputs) for g in circuit.bottom),
-                     default=0)
+    worst_gate = max((g.weighted_fan_in for g in circuit.bottom), default=0)
     if max(worst_top, worst_gate) >= ACCUMULATION_GUARD:
         raise InputError("circuit weights exceed the accumulation guard")
 
 
-def evaluate_batch(circuit: ThresholdCircuit, values: np.ndarray) -> np.ndarray:
+def evaluate_batch(circuit: SymmetricCircuit, values: np.ndarray) -> np.ndarray:
     """Evaluate the circuit on a whole batch of assignments at once.
 
     values is a (rows, n_vars) array of 0/1 entries; the result is a Boolean
@@ -303,7 +448,7 @@ def evaluate_batch(circuit: ThresholdCircuit, values: np.ndarray) -> np.ndarray:
         gsum = np.zeros(rows, dtype=np.int64)
         for idx, w in gate.inputs:
             gsum += w * vals[:, idx].astype(np.int64)
-        acc += np.where(gsum >= gate.threshold, np.int64(top_w), np.int64(0))
+        acc += np.where(gate.pred.holds_batch(gsum), np.int64(top_w), np.int64(0))
     for idx, w in circuit.direct_wires:
         acc += w * vals[:, idx].astype(np.int64)
-    return acc >= circuit.top_threshold
+    return circuit.top_pred.holds_batch(acc)

@@ -1,73 +1,33 @@
 """Reference implementations and instance generators for the test suite.
 
 Everything here is definitional: the brute-force deciders enumerate whole
-assignment spaces (vectorized, but with no algorithmic shortcuts), so they
-stay trustworthy at the small sizes the tests use.  The generators are
+assignment spaces (vectorized, but with no algorithmic shortcuts, and with
+their own enumeration rather than the solvers' scan), so they stay
+trustworthy at the small sizes the tests use.  The generators are
 deterministic in their seed and produce instances with exact wire budgets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import Assignment, ThresholdCircuit, ThresholdGate, evaluate_batch
+from .model import (Assignment, Predicate, SymmetricCircuit, SymmetricGate,
+                    evaluate_batch)
 from .splitlist import IneqSystem, Rel, Row, verify
-from .sparse_sat import _vector_scan
-from .symsat import (EqRow, EqSystem, Predicate, SymmetricCircuit,
-                     SymmetricGate, evaluate_symmetric_batch)
+from .symsat import EqRow, EqSystem
 from .vecdom import DominationInstance, TaggedVector
 
 MAX_BRUTE_VARS = 26
 _CHUNK = 1 << 16
 
 
-def brute_circuit_sat(circuit, *,
-                      counters: Optional[WorkCounters] = None,
-                      max_n: int = MAX_BRUTE_VARS) -> Optional[Assignment]:
-    """Scan the full cube; returns the lexicographically first witness.
-
-    Accepts either circuit family and dispatches on the type.
-    """
-    if isinstance(circuit, SymmetricCircuit):
-        return brute_symmetric_sat(circuit, counters=counters, max_n=max_n)
-    if circuit.n_vars > max_n:
-        raise ResourceGuardError(
-            f"{circuit.n_vars} variables exceeds the {max_n}-variable brute guard")
-    cnt = counters if counters is not None else WorkCounters()
-    full = _vector_scan(circuit, {}, tuple(range(circuit.n_vars)), cnt)
-    return Assignment(full) if full is not None else None
-
-
-def brute_symmetric_sat(circuit: SymmetricCircuit, *,
-                        counters: Optional[WorkCounters] = None,
-                        max_n: int = MAX_BRUTE_VARS) -> Optional[Assignment]:
-    """Scan the full cube of a symmetric circuit, lexicographically."""
-    if circuit.n_vars > max_n:
-        raise ResourceGuardError(
-            f"{circuit.n_vars} variables exceeds the {max_n}-variable brute guard")
-    cnt = counters if counters is not None else WorkCounters()
-    full = _vector_scan(circuit, {}, tuple(range(circuit.n_vars)), cnt,
-                        batch_eval=evaluate_symmetric_batch)
-    return Assignment(full) if full is not None else None
-
-
-def enumerate_satisfying(circuit, *, max_n: int = 20) -> list[tuple[int, ...]]:
-    """All satisfying assignments, in lexicographic order.
-
-    Works for both circuit families; intended for exactness tests at small n.
-    """
-    batch_eval = evaluate_symmetric_batch if isinstance(circuit, SymmetricCircuit) \
-        else evaluate_batch
-    n = circuit.n_vars
-    if n > max_n:
-        raise ResourceGuardError(
-            f"{n} variables exceeds the {max_n}-variable enumeration guard")
-    out: list[tuple[int, ...]] = []
+def _cube_blocks(n: int) -> Iterator[np.ndarray]:
+    """The cube {0,1}^n in lexicographic order, as (rows, n) blocks."""
     total = 1 << n
     for base in range(0, total, _CHUNK):
         width = min(_CHUNK, total - base)
@@ -75,10 +35,38 @@ def enumerate_satisfying(circuit, *, max_n: int = 20) -> list[tuple[int, ...]]:
         block = np.zeros((width, n), dtype=np.uint8)
         for pos in range(n):
             block[:, pos] = ((idx >> np.uint64(n - 1 - pos)) & np.uint64(1)).astype(np.uint8)
-        verdicts = batch_eval(circuit, block)
-        for hit in np.flatnonzero(verdicts):
-            out.append(tuple(int(v) for v in block[hit]))
-    return out
+        yield block
+
+
+def brute_circuit_sat(circuit: SymmetricCircuit, *,
+                      counters: Optional[WorkCounters] = None,
+                      max_n: int = MAX_BRUTE_VARS) -> Optional[Assignment]:
+    """Scan the full cube; returns the lexicographically first witness."""
+    if circuit.n_vars > max_n:
+        raise ResourceGuardError(
+            f"{circuit.n_vars} variables exceeds the {max_n}-variable brute guard")
+    cnt = counters if counters is not None else WorkCounters()
+    for block in _cube_blocks(circuit.n_vars):
+        verdicts = evaluate_batch(circuit, block)
+        if verdicts.any():
+            hit = int(np.argmax(verdicts))
+            cnt.assignments += hit + 1
+            return Assignment(tuple(int(v) for v in block[hit]))
+        cnt.assignments += len(block)
+    return None
+
+
+def enumerate_satisfying(circuit: SymmetricCircuit, *,
+                         max_n: int = 20) -> list[tuple[int, ...]]:
+    """All satisfying assignments, in lexicographic order; intended for
+    exactness tests at small n."""
+    n = circuit.n_vars
+    if n > max_n:
+        raise ResourceGuardError(
+            f"{n} variables exceeds the {max_n}-variable enumeration guard")
+    return [tuple(int(v) for v in block[hit])
+            for block in _cube_blocks(n)
+            for hit in np.flatnonzero(evaluate_batch(circuit, block))]
 
 
 def brute_ilp(system: IneqSystem, *,
@@ -141,82 +129,11 @@ def _nonzero_weight(rng: Random, bound: int) -> int:
     return rng.randint(1, bound) * rng.choice((-1, 1))
 
 
-def _achievable_threshold(rng: Random, inputs) -> int:
+def _threshold_predicate(rng: Random, inputs) -> Predicate:
+    """A `ge` predicate that some but not all input patterns satisfy."""
     lo = sum(min(w, 0) for _, w in inputs)
     hi = sum(max(w, 0) for _, w in inputs)
-    return rng.randint(lo + 1, hi)
-
-
-def _random_gate(rng: Random, n: int, fan_in: int, weight_bound: int) -> ThresholdGate:
-    vars_ = rng.sample(range(n), fan_in)
-    inputs = tuple((i, _nonzero_weight(rng, weight_bound)) for i in sorted(vars_))
-    return ThresholdGate(inputs, _achievable_threshold(rng, inputs))
-
-
-def _finish_circuit(rng: Random, n: int, gates: list[ThresholdGate],
-                    weight_bound: int, direct_count: int) -> ThresholdCircuit:
-    top_weights = tuple(_nonzero_weight(rng, weight_bound) for _ in gates)
-    direct_vars = sorted(rng.sample(range(n), direct_count)) if direct_count else []
-    direct = tuple((i, _nonzero_weight(rng, weight_bound)) for i in direct_vars)
-    lo = sum(min(w, 0) for w in top_weights) + sum(min(w, 0) for _, w in direct)
-    hi = sum(max(w, 0) for w in top_weights) + sum(max(w, 0) for _, w in direct)
-    return ThresholdCircuit(n, tuple(gates), top_weights, direct,
-                            rng.randint(lo + 1, hi))
-
-
-def _fanin_plan(wires: int, fan_in: int) -> list[int]:
-    plan = [fan_in] * (wires // fan_in)
-    if wires % fan_in:
-        plan.append(wires % fan_in)
-    return plan
-
-
-def random_fixed_fanin_circuit(n: int, wires: int, fan_in: int, seed: int, *,
-                               weight_bound: int = 8,
-                               direct_count: int = 0) -> ThresholdCircuit:
-    """Circuit with exactly the requested bottom wires, almost all in gates of
-    the given fan-in (one smaller gate absorbs the remainder)."""
-    if not 1 <= fan_in <= n:
-        raise InputError("fan_in must lie in 1..n")
-    if wires < 1:
-        raise InputError("need at least one wire")
-    rng = Random(seed)
-    gates = [_random_gate(rng, n, f, weight_bound) for f in _fanin_plan(wires, fan_in)]
-    return _finish_circuit(rng, n, gates, weight_bound, direct_count)
-
-
-def random_mixed_circuit(n: int, wires: int, seed: int, *,
-                         weight_bound: int = 8,
-                         direct_count: int = 0) -> ThresholdCircuit:
-    """Circuit with exactly the requested bottom wires split into gates of
-    random fan-ins."""
-    if wires < 1:
-        raise InputError("need at least one wire")
-    rng = Random(seed)
-    plan = []
-    left = wires
-    while left:
-        f = rng.randint(1, min(left, n))
-        plan.append(f)
-        left -= f
-    gates = [_random_gate(rng, n, f, weight_bound) for f in plan]
-    return _finish_circuit(rng, n, gates, weight_bound, direct_count)
-
-
-def random_power_circuit(n: int, levels: int, seed: int, *,
-                         weight_bound: int = 8) -> ThresholdCircuit:
-    """Wire-density stress instance: for each j in 1..levels there are n/2^j
-    gates of fan-in 2^j, one density unit per level.  Requires 2^levels | n."""
-    if levels < 1:
-        raise InputError("need at least one level")
-    if n % (1 << levels):
-        raise InputError(f"n must be a multiple of 2^{levels}")
-    rng = Random(seed)
-    gates = []
-    for j in range(1, levels + 1):
-        gates += [_random_gate(rng, n, 1 << j, weight_bound)
-                  for _ in range(n >> j)]
-    return _finish_circuit(rng, n, gates, weight_bound, 0)
+    return Predicate.ge(rng.randint(lo + 1, hi))
 
 
 def _random_predicate(rng: Random, inputs) -> Predicate:
@@ -232,6 +149,79 @@ def _random_predicate(rng: Random, inputs) -> Predicate:
         return Predicate.mod(m, rng.randint(0, m - 1))
     count = rng.randint(1, min(3, hi - lo + 1))
     return Predicate.members(rng.sample(range(lo, hi + 1), count))
+
+
+def _random_circuit(rng: Random, n: int, plan: list[int], weight_bound: int,
+                    direct_count: int, predicate=_threshold_predicate
+                    ) -> SymmetricCircuit:
+    """One gate per fan-in in plan over random variables, then the top
+    weights and direct wires; predicate picks each gate's and the top's
+    predicate from their weighted inputs."""
+    gates = []
+    for f in plan:
+        vars_ = sorted(rng.sample(range(n), f))
+        inputs = tuple((i, _nonzero_weight(rng, weight_bound)) for i in vars_)
+        gates.append(SymmetricGate(inputs, predicate(rng, inputs)))
+    top_weights = tuple(_nonzero_weight(rng, weight_bound) for _ in gates)
+    direct_vars = sorted(rng.sample(range(n), direct_count)) if direct_count else []
+    direct = tuple((i, _nonzero_weight(rng, weight_bound)) for i in direct_vars)
+    return SymmetricCircuit(n, tuple(gates), top_weights, direct,
+                            predicate(rng, tuple(enumerate(top_weights)) + direct))
+
+
+def _fanin_plan(wires: int, fan_in: int, n: int) -> list[int]:
+    if not 1 <= fan_in <= n:
+        raise InputError("fan_in must lie in 1..n")
+    plan = [fan_in] * (wires // fan_in)
+    if wires % fan_in:
+        plan.append(wires % fan_in)
+    return plan
+
+
+def _random_plan(rng: Random, wires: int, n: int) -> list[int]:
+    plan = []
+    left = wires
+    while left:
+        f = rng.randint(1, min(left, n))
+        plan.append(f)
+        left -= f
+    return plan
+
+
+def random_fixed_fanin_circuit(n: int, wires: int, fan_in: int, seed: int, *,
+                               weight_bound: int = 8,
+                               direct_count: int = 0) -> SymmetricCircuit:
+    """Threshold circuit with exactly the requested bottom wires, almost all
+    in gates of the given fan-in (one smaller gate absorbs the remainder)."""
+    if wires < 1:
+        raise InputError("need at least one wire")
+    return _random_circuit(Random(seed), n, _fanin_plan(wires, fan_in, n),
+                           weight_bound, direct_count)
+
+
+def random_mixed_circuit(n: int, wires: int, seed: int, *,
+                         weight_bound: int = 8,
+                         direct_count: int = 0) -> SymmetricCircuit:
+    """Threshold circuit with exactly the requested bottom wires split into
+    gates of random fan-ins."""
+    if wires < 1:
+        raise InputError("need at least one wire")
+    rng = Random(seed)
+    return _random_circuit(rng, n, _random_plan(rng, wires, n), weight_bound,
+                           direct_count)
+
+
+def random_power_circuit(n: int, levels: int, seed: int, *,
+                         weight_bound: int = 8) -> SymmetricCircuit:
+    """Wire-density stress instance: for each j in 1..levels there are n/2^j
+    threshold gates of fan-in 2^j, one density unit per level.  Requires
+    2^levels | n."""
+    if levels < 1:
+        raise InputError("need at least one level")
+    if n % (1 << levels):
+        raise InputError(f"n must be a multiple of 2^{levels}")
+    plan = [1 << j for j in range(1, levels + 1) for _ in range(n >> j)]
+    return _random_circuit(Random(seed), n, plan, weight_bound, 0)
 
 
 def random_symmetric_circuit(n: int, wires: int, seed: int, *,
@@ -252,28 +242,11 @@ def random_symmetric_circuit(n: int, wires: int, seed: int, *,
         if sum(plan) != wires:
             raise InputError("plan does not add up to the wire budget")
     elif fan_in is not None:
-        if not 1 <= fan_in <= n:
-            raise InputError("fan_in must lie in 1..n")
-        plan = _fanin_plan(wires, fan_in)
+        plan = _fanin_plan(wires, fan_in, n)
     else:
-        plan = []
-        left = wires
-        while left:
-            f = rng.randint(1, min(left, n))
-            plan.append(f)
-            left -= f
-    gates = []
-    for f in plan:
-        vars_ = sorted(rng.sample(range(n), f))
-        inputs = tuple((i, _nonzero_weight(rng, weight_bound)) for i in vars_)
-        gates.append(SymmetricGate(inputs, _random_predicate(rng, inputs)))
-    top_weights = tuple(_nonzero_weight(rng, weight_bound) for _ in gates)
-    direct_vars = sorted(rng.sample(range(n), direct_count)) if direct_count else []
-    direct = tuple((i, _nonzero_weight(rng, weight_bound)) for i in direct_vars)
-    top_inputs = tuple((j, w) for j, w in enumerate(top_weights)) \
-        + tuple((len(top_weights) + k, w) for k, (_, w) in enumerate(direct))
-    return SymmetricCircuit(n, tuple(gates), top_weights, direct,
-                            _random_predicate(rng, top_inputs))
+        plan = _random_plan(rng, wires, n)
+    return _random_circuit(rng, n, plan, weight_bound, direct_count,
+                           _random_predicate)
 
 
 def random_ilp(n: int, rows: int, arity: int, seed: int, *,

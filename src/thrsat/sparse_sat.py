@@ -1,4 +1,5 @@
-"""Satisfiability of sparse depth-two threshold circuits.
+"""Satisfiability of sparse depth-two threshold circuits, and the parts of
+the restriction pipeline that both solvers share.
 
 The solver samples a random restriction that leaves each variable free with
 a probability tuned to the circuit's wire density, then enumerates all
@@ -10,11 +11,15 @@ branch:
 
 * no exceptional gate: every residual is a single threshold over the free
   variables, decided in closed form for whole blocks of branches at once;
-* at most the residual budget of them: each branch guesses its residual's
-  gate outputs and runs the split-and-list search on each guess;
+* at most the residual budget of them: the shared branch driver folds each
+  branch into its residual and hands it to a decider, here one that guesses
+  the residual's gate outputs and runs the split-and-list search on each
+  guess;
 * more than the budget: one exhaustive scan of the cube, branch by branch.
 
-Every route is exact and every witness is checked before it is returned.
+The symmetric-gate solver uses the same scan, the same branch driver and
+the same witness check, with its own decider.  Every route is exact and
+every witness is checked before it is returned.
 """
 from __future__ import annotations
 
@@ -23,15 +28,15 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Collection, Iterable, Optional, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (Assignment, Restriction, ThresholdCircuit, WireStats,
-                    check_accumulation, evaluate, evaluate_batch, simplify,
-                    wire_stats)
+from .model import (Assignment, Restriction, SymmetricCircuit, WireStats,
+                    branch_folder, check_accumulation, evaluate,
+                    evaluate_batch, require_threshold, wire_stats)
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
 
 DEFAULT_DELTA = Fraction(1, 48)
@@ -93,7 +98,7 @@ def fanin_separation(stats: WireStats, n: int, epsilon: Fraction,
         k *= a
 
 
-def restriction_params(circuit: ThresholdCircuit,
+def restriction_params(circuit: SymmetricCircuit,
                        delta: Fraction = DEFAULT_DELTA) -> RestrictionParams:
     """Derive the restriction parameters from the circuit's wire density."""
     n = circuit.n_vars
@@ -118,7 +123,7 @@ def restriction_params(circuit: ThresholdCircuit,
     return RestrictionParams(c=c, delta=delta, epsilon=epsilon, a=a, k=k, p=p)
 
 
-def draw_restriction(circuit: ThresholdCircuit, p: Fraction,
+def draw_restriction(circuit: SymmetricCircuit, p: Fraction,
                      rng: Random) -> Restriction:
     """One unbiased draw: each variable stays free with probability p.
 
@@ -130,7 +135,7 @@ def draw_restriction(circuit: ThresholdCircuit, p: Fraction,
     return Restriction(assigned=assigned, free=free)
 
 
-def exceptional_gates(circuit: ThresholdCircuit,
+def exceptional_gates(circuit: SymmetricCircuit,
                       free: Collection[int]) -> tuple[int, ...]:
     """Indices of bottom gates with at least two free inputs.
 
@@ -142,7 +147,7 @@ def exceptional_gates(circuit: ThresholdCircuit,
                  if sum(1 for i, _ in g.inputs if i in fs) >= 2)
 
 
-def sample_restriction(circuit: ThresholdCircuit, params: RestrictionParams,
+def sample_restriction(circuit: SymmetricCircuit, params: RestrictionParams,
                        rng: Random, max_draws: int = 10
                        ) -> tuple[Restriction, int]:
     """Draw restrictions until the exceptional-gate count is within twice its
@@ -172,10 +177,11 @@ def instance_seed(circuit) -> int:
     return int.from_bytes(digest, "big")
 
 
-def ilp_for_guess(circuit: ThresholdCircuit,
+def ilp_for_guess(circuit: SymmetricCircuit,
                   guess: Union[int, Iterable[int]]) -> IneqSystem:
     """Linear system stating that exactly the guessed gates fire and the top
     gate accepts.  guess is a bitmask or a collection of gate indices."""
+    require_threshold(circuit, "ilp_for_guess")
     if isinstance(guess, int):
         fired = {j for j in range(len(circuit.bottom)) if guess >> j & 1}
     else:
@@ -186,16 +192,16 @@ def ilp_for_guess(circuit: ThresholdCircuit,
     rows = []
     for j, gate in enumerate(circuit.bottom):
         if j in fired:
-            rows.append(Row(gate.inputs, Rel.GE, gate.threshold))
+            rows.append(Row(gate.inputs, Rel.GE, gate.pred.params[0]))
         else:
-            rows.append(Row(gate.inputs, Rel.LT, gate.threshold))
+            rows.append(Row(gate.inputs, Rel.LT, gate.pred.params[0]))
     fired_weight = sum(circuit.top_gate_weights[j] for j in fired)
     rows.append(Row(circuit.direct_wires, Rel.GE,
-                    circuit.top_threshold - fired_weight))
+                    circuit.top_pred.params[0] - fired_weight))
     return IneqSystem(circuit.n_vars, tuple(rows), 2)
 
 
-def sat_few_gates(circuit: ThresholdCircuit, *,
+def sat_few_gates(circuit: SymmetricCircuit, *,
                   counters: Optional[WorkCounters] = None,
                   max_gates: int = MAX_GUESS_GATES,
                   native_strict: bool = False) -> Optional[Assignment]:
@@ -219,16 +225,15 @@ def sat_few_gates(circuit: ThresholdCircuit, *,
     return None
 
 
-def _vector_scan(circuit, fixed: dict[int, int],
-                 scan_vars: tuple[int, ...], cnt: WorkCounters,
-                 batch_eval=evaluate_batch) -> Optional[tuple[int, ...]]:
+def _vector_scan(circuit: SymmetricCircuit, fixed: dict[int, int],
+                 scan_vars: tuple[int, ...], cnt: WorkCounters
+                 ) -> Optional[tuple[int, ...]]:
     """Scan all assignments to scan_vars (fixed vars held constant) in
     numpy chunks, stopping at the first satisfying row.
 
     Rows are visited in lexicographic order of the scan variables, so the
     returned assignment is the lexicographically first one.  cnt.assignments
-    grows by exactly the number of rows inspected.  batch_eval lets circuit
-    families with their own semantics reuse the scan.
+    grows by exactly the number of rows inspected.
     """
     n = circuit.n_vars
     s = len(scan_vars)
@@ -243,7 +248,7 @@ def _vector_scan(circuit, fixed: dict[int, int],
         block = np.broadcast_to(template, (width, n)).copy()
         for pos, var in enumerate(scan_vars):
             block[:, var] = ((idx >> np.uint64(s - 1 - pos)) & np.uint64(1)).astype(np.uint8)
-        verdicts = batch_eval(circuit, block)
+        verdicts = evaluate_batch(circuit, block)
         if verdicts.any():
             hit = int(np.argmax(verdicts))
             cnt.assignments += hit + 1
@@ -274,18 +279,68 @@ class SolveOutcome:
     counters: WorkCounters = field(default_factory=WorkCounters)
 
 
-def _scan_outcome(circuit: ThresholdCircuit, cnt: WorkCounters,
+def _outcome(circuit: SymmetricCircuit,
+             witness_values: Optional[Sequence[int]], branches: int,
+             fallback_branches: int, restriction: Optional[Restriction],
+             params: Optional[RestrictionParams],
+             cnt: WorkCounters) -> SolveOutcome:
+    """The solve's result, after checking its witness on the circuit."""
+    witness = Assignment(witness_values) if witness_values is not None else None
+    if witness is not None:
+        assert evaluate(circuit, witness), "solver produced a bad witness"
+    return SolveOutcome(witness is not None, witness, branches,
+                        fallback_branches, restriction, params, cnt)
+
+
+def _scan_outcome(circuit: SymmetricCircuit, cnt: WorkCounters,
                   restriction: Optional[Restriction],
                   params: Optional[RestrictionParams]) -> SolveOutcome:
+    """Decide the circuit with one scan of its whole cube."""
     full = _vector_scan(circuit, {}, tuple(range(circuit.n_vars)), cnt)
-    witness = Assignment(full) if full is not None else None
-    if witness is not None:
-        assert evaluate(circuit, witness)
-    return SolveOutcome(witness is not None, witness, 1 << circuit.n_vars, 0,
-                        restriction, params, cnt)
+    return _outcome(circuit, full, 1 << circuit.n_vars, 0, restriction,
+                    params, cnt)
 
 
-def _closed_form_branches(circuit: ThresholdCircuit,
+def _branch_vars(restriction: Restriction, max_branch_bits: int
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The assigned and the free variables of the restriction, ascending,
+    under the guard on the number of assigned bits."""
+    assigned_vars = tuple(sorted(restriction.assigned))
+    if len(assigned_vars) > max_branch_bits:
+        raise ResourceGuardError(
+            f"2^{len(assigned_vars)} branches exceeds the "
+            f"2^{max_branch_bits} branch guard")
+    return assigned_vars, restriction.free_order
+
+
+def _branch_loop(circuit: SymmetricCircuit, assigned_vars: tuple[int, ...],
+                 free_order: tuple[int, ...],
+                 decide: Callable[[SymmetricCircuit], Optional[Sequence[int]]],
+                 cnt: WorkCounters) -> Optional[tuple[int, ...]]:
+    """First branch whose residual decide finds satisfiable.
+
+    Branch b sets assigned_vars[pos] to bit (bits - 1 - pos) of b; the
+    branches are visited in order, each folded into its residual over
+    free_order and handed to decide, which returns a satisfying assignment
+    of the residual or None.  Returns the total assignment of the first
+    satisfiable branch; cnt.assignments grows by one per branch visited.
+    """
+    fold = branch_folder(circuit, assigned_vars, free_order)
+    bits = len(assigned_vars)
+    for b in range(1 << bits):
+        cnt.assignments += 1
+        found = decide(fold(b))
+        if found is not None:
+            values = [0] * circuit.n_vars
+            for pos, var in enumerate(assigned_vars):
+                values[var] = b >> (bits - 1 - pos) & 1
+            for var, v in zip(free_order, found):
+                values[var] = v
+            return tuple(values)
+    return None
+
+
+def _closed_form_branches(circuit: SymmetricCircuit,
                           assigned_vars: tuple[int, ...],
                           free_order: tuple[int, ...],
                           cnt: WorkCounters) -> Optional[tuple[int, ...]]:
@@ -296,7 +351,8 @@ def _closed_form_branches(circuit: ThresholdCircuit,
     gate then is a constant or a literal of its one free input, so the
     residual is one threshold: top constant T_b plus a weight w_b,i per free
     variable.  It is satisfiable iff sum_i max(w_b,i, 0) >= T_b, and then
-    x_i = [w_b,i > 0] satisfies it.  Returns the total assignment of the
+    x_i = [w_b,i > 0] satisfies it.  The gate predicates may be of any kind;
+    the top predicate must be `ge`.  Returns the total assignment of the
     first such branch; cnt.assignments grows by the branches examined.
     """
     check_accumulation(circuit)
@@ -311,13 +367,13 @@ def _closed_form_branches(circuit: ThresholdCircuit,
         else:
             top_terms.append((shift[idx], w))
     # per gate: its assigned terms, its free input (variable, weight) or
-    # None, its threshold and its top weight
+    # None, its predicate and its top weight
     gates = []
     for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
         terms = [(shift[i], w) for i, w in gate.inputs if i in shift]
         free_in = [(i, w) for i, w in gate.inputs if i in fixed_w]
         gates.append((terms, free_in[0] if free_in else None,
-                      gate.threshold, top_w))
+                      gate.pred, top_w))
 
     total = 1 << bits
     block = 1 << min(_SCAN_CHUNK_BITS, bits)
@@ -333,20 +389,20 @@ def _closed_form_branches(circuit: ThresholdCircuit,
 
         top = linear(top_terms)
         varying: dict[int, np.ndarray] = {}
-        for terms, free_in, threshold, top_w in gates:
+        for terms, free_in, pred, top_w in gates:
             base = linear(terms)
-            out0 = (base >= threshold).astype(np.int64)
+            out0 = pred.holds_batch(base).astype(np.int64)
             top += top_w * out0
             if free_in is not None:
                 var, w = free_in
-                out1 = (base + w >= threshold).astype(np.int64)
+                out1 = pred.holds_batch(base + w).astype(np.int64)
                 step = top_w * (out1 - out0)
                 varying[var] = varying[var] + step if var in varying else step
         reach = top + sum(max(w, 0) for var, w in fixed_w.items()
                           if var not in varying)
         for var, w in varying.items():
             reach += np.maximum(w + fixed_w[var], 0)
-        sat = reach >= circuit.top_threshold
+        sat = circuit.top_pred.holds_batch(reach)
         if sat.any():
             hit = int(np.argmax(sat))
             cnt.assignments += hit + 1
@@ -363,7 +419,7 @@ def _closed_form_branches(circuit: ThresholdCircuit,
     return None
 
 
-def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
+def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
           delta: Fraction = DEFAULT_DELTA,
           params: Optional[RestrictionParams] = None,
           p: Optional[Fraction] = None,
@@ -372,7 +428,8 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
           few_gates_budget: Optional[float] = None,
           max_branch_bits: int = MAX_BRANCH_BITS,
           counters: Optional[WorkCounters] = None) -> SolveOutcome:
-    """Decide satisfiability of a depth-two threshold circuit, exactly.
+    """Decide satisfiability of a depth-two threshold circuit, exactly; a
+    circuit with a predicate other than `ge` is refused.
 
     Small circuits are scanned outright; past fast_path_max_n variables the
     restriction pipeline takes over.  params and p override the derived
@@ -393,6 +450,7 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
     n = circuit.n_vars
     if n < 1:
         raise InputError("circuit must have at least one variable")
+    require_threshold(circuit, "solve")
     if n <= fast_path_max_n and not force_restriction:
         return _scan_outcome(circuit, cnt, None, None)
 
@@ -402,24 +460,15 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
     if p is not None:
         params = replace(params, p=Fraction(p))
     restriction, exceptional = sample_restriction(circuit, params, rng)
-    free = restriction.free
-    free_order = restriction.free_order
-    assigned_vars = tuple(sorted(set(range(n)) - free))
-    bits = len(assigned_vars)
-    if bits > max_branch_bits:
-        raise ResourceGuardError(
-            f"2^{bits} branches exceeds the 2^{max_branch_bits} branch guard")
-    total = 1 << bits
-
-    if not free:
+    assigned_vars, free_order = _branch_vars(restriction, max_branch_bits)
+    if not free_order:
         # Degenerate restriction: every branch is a full assignment, which is
         # exactly one chunked scan of the cube.
         return _scan_outcome(circuit, cnt, restriction, params)
 
     budget = few_gates_budget if few_gates_budget is not None \
-        else 3 * params.delta * len(free)
-
-    witness_values: Optional[tuple[int, ...]] = None
+        else 3 * params.delta * len(free_order)
+    total = 1 << len(assigned_vars)
     fallback_branches = 0
     if exceptional > budget:
         before = cnt.assignments
@@ -427,23 +476,13 @@ def solve(circuit: ThresholdCircuit, *, seed: Optional[int] = None,
                                       cnt)
         rows = cnt.assignments - before
         fallback_branches = total if witness_values is None \
-            else ((rows - 1) >> len(free)) + 1
+            else ((rows - 1) >> len(free_order)) + 1
     elif exceptional == 0:
         witness_values = _closed_form_branches(circuit, assigned_vars,
                                                free_order, cnt)
     else:
-        for b in range(total):
-            cnt.assignments += 1
-            assigned = {var: (b >> (bits - 1 - pos)) & 1
-                        for pos, var in enumerate(assigned_vars)}
-            branch = Restriction(assigned=assigned, free=free)
-            found = sat_few_gates(simplify(circuit, branch), counters=cnt)
-            if found is not None:
-                witness_values = branch.combine(found.values)
-                break
-
-    witness = Assignment(witness_values) if witness_values is not None else None
-    if witness is not None:
-        assert evaluate(circuit, witness), "solver produced a bad witness"
-    return SolveOutcome(witness is not None, witness, total, fallback_branches,
-                        restriction, params, cnt)
+        witness_values = _branch_loop(
+            circuit, assigned_vars, free_order,
+            lambda residual: sat_few_gates(residual, counters=cnt), cnt)
+    return _outcome(circuit, witness_values, total, fallback_branches,
+                    restriction, params, cnt)

@@ -2,11 +2,12 @@
 
 Gates apply an arbitrary predicate (threshold, equality, congruence, or
 membership in a finite set) to an integer-weighted sum of their inputs, and
-so does the top gate.  The solver runs the same restrict-and-branch pipeline
-as the threshold solver, but with two differences: the free probability p is
-chosen by maximizing an exact savings score over a geometric grid, and the
-residual circuits are decided by guessing the exact value of every residual
-gate's weighted sum, which turns each guess into a system of linear equations
+so does the top gate; the circuit model lives in `thrsat.model`.  The solver
+runs the threshold solver's restrict-and-branch pipeline, including its
+branch driver, with two differences: the free probability p is chosen by
+maximizing an exact savings score over a geometric grid, and the residual
+circuits are decided by guessing the exact value of every residual gate's
+weighted sum, which turns each guess into a system of linear equations
 solved by a meet-in-the-middle subset-sum search.
 """
 from __future__ import annotations
@@ -14,286 +15,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (ACCUMULATION_GUARD, Assignment, AssignmentLike,
-                    Restriction, _boolean_values)
-from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _vector_scan,
+from .model import Assignment, SymmetricCircuit, evaluate
+from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _branch_loop,
+                         _branch_vars, _outcome, _scan_outcome, _vector_scan,
                          draw_restriction, instance_seed)
 from .splitlist import MAX_HALF_VARS
 
 MAX_VALUE_TUPLES = 1 << 16
 EXACT_SUM_MAX_VARS = 16
 DEFAULT_KAPPA = 64
-
-
-class PredKind(str, Enum):
-    GE = "ge"
-    EQ = "eq"
-    MOD = "mod"
-    MEMBER = "set"
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """A predicate on an integer, applied to a gate's weighted input sum."""
-
-    kind: PredKind
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", PredKind(self.kind))
-        object.__setattr__(self, "params", tuple(int(v) for v in self.params))
-        if self.kind in (PredKind.GE, PredKind.EQ):
-            if len(self.params) != 1:
-                raise InputError(f"{self.kind.value} takes exactly one parameter")
-        elif self.kind is PredKind.MOD:
-            if len(self.params) != 2:
-                raise InputError("mod takes a modulus and a residue")
-            m, r = self.params
-            if m < 1:
-                raise InputError("modulus must be positive")
-            if not 0 <= r < m:
-                raise InputError("residue must lie in 0..modulus-1")
-        else:
-            if not self.params:
-                raise InputError("membership predicate needs at least one value")
-            if len(set(self.params)) != len(self.params):
-                raise InputError("duplicate value in membership predicate")
-            object.__setattr__(self, "params", tuple(sorted(self.params)))
-
-    @classmethod
-    def ge(cls, t: int) -> "Predicate":
-        return cls(PredKind.GE, (t,))
-
-    @classmethod
-    def eq(cls, v: int) -> "Predicate":
-        return cls(PredKind.EQ, (v,))
-
-    @classmethod
-    def mod(cls, m: int, r: int) -> "Predicate":
-        return cls(PredKind.MOD, (m, r))
-
-    @classmethod
-    def members(cls, values: Sequence[int]) -> "Predicate":
-        return cls(PredKind.MEMBER, tuple(values))
-
-    def holds(self, s: int) -> bool:
-        if self.kind is PredKind.GE:
-            return s >= self.params[0]
-        if self.kind is PredKind.EQ:
-            return s == self.params[0]
-        if self.kind is PredKind.MOD:
-            return s % self.params[0] == self.params[1]
-        return s in self.params
-
-    def holds_batch(self, sums: np.ndarray) -> np.ndarray:
-        if self.kind is PredKind.GE:
-            return sums >= self.params[0]
-        if self.kind is PredKind.EQ:
-            return sums == self.params[0]
-        if self.kind is PredKind.MOD:
-            return sums % self.params[0] == self.params[1]
-        return np.isin(sums, np.asarray(self.params, dtype=np.int64))
-
-    def shifted(self, base: int) -> "Predicate":
-        """The predicate q with q(s) == holds(s + base), for folding constant
-        contributions out of a gate's input sum."""
-        if self.kind is PredKind.GE:
-            return Predicate.ge(self.params[0] - base)
-        if self.kind is PredKind.EQ:
-            return Predicate.eq(self.params[0] - base)
-        if self.kind is PredKind.MOD:
-            m, r = self.params
-            return Predicate.mod(m, (r - base) % m)
-        return Predicate.members(tuple(v - base for v in self.params))
-
-
-@dataclass(frozen=True)
-class SymmetricGate:
-    inputs: tuple[tuple[int, int], ...]
-    pred: Predicate
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs",
-                           tuple((int(i), int(w)) for i, w in self.inputs))
-        seen = set()
-        for idx, w in self.inputs:
-            if w == 0:
-                raise InputError("gate input weights must be nonzero")
-            if idx < 0:
-                raise InputError("negative variable index in gate")
-            if idx in seen:
-                raise InputError(f"duplicate variable x{idx} in gate")
-            seen.add(idx)
-
-    @property
-    def fan_in(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def weighted_fan_in(self) -> int:
-        return sum(abs(w) for _, w in self.inputs)
-
-
-@dataclass(frozen=True)
-class SymmetricCircuit:
-    """Depth-two circuit of symmetric gates.
-
-    declared_density, when set, is the wire budget c from the text format
-    header; the weighted wire count must stay within c * n_vars.  It has no
-    effect on semantics.
-    """
-
-    n_vars: int
-    bottom: tuple[SymmetricGate, ...]
-    top_gate_weights: tuple[int, ...]
-    direct_wires: tuple[tuple[int, int], ...]
-    top_pred: Predicate
-    declared_density: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        object.__setattr__(self, "top_gate_weights",
-                           tuple(int(w) for w in self.top_gate_weights))
-        object.__setattr__(self, "direct_wires",
-                           tuple((int(i), int(w)) for i, w in self.direct_wires))
-        if self.n_vars < 0:
-            raise InputError("n_vars must be nonnegative")
-        if len(self.top_gate_weights) != len(self.bottom):
-            raise InputError("need exactly one top weight per bottom gate")
-        for gate in self.bottom:
-            for idx, _ in gate.inputs:
-                if idx >= self.n_vars:
-                    raise InputError(f"gate reads x{idx} but circuit has {self.n_vars} variables")
-        seen = set()
-        for idx, w in self.direct_wires:
-            if w == 0:
-                raise InputError("direct wires must have nonzero weight")
-            if not 0 <= idx < self.n_vars:
-                raise InputError(f"direct wire on x{idx} out of range")
-            if idx in seen:
-                raise InputError(f"duplicate direct wire on x{idx}")
-            seen.add(idx)
-        if self.declared_density is not None \
-                and self.weighted_wires > self.declared_density * self.n_vars:
-            raise InputError("weighted wires exceed the declared density budget")
-
-    @property
-    def weighted_wires(self) -> int:
-        return sum(g.weighted_fan_in for g in self.bottom)
-
-    @property
-    def wires(self) -> int:
-        return sum(g.fan_in for g in self.bottom)
-
-
-def evaluate_symmetric(circuit: SymmetricCircuit, assignment: AssignmentLike) -> bool:
-    values = _boolean_values(circuit.n_vars, assignment)
-    total = 0
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        s = 0
-        for idx, w in gate.inputs:
-            s += w * values[idx]
-        if gate.pred.holds(s):
-            total += top_w
-    for idx, w in circuit.direct_wires:
-        total += w * values[idx]
-    return circuit.top_pred.holds(total)
-
-
-def evaluate_symmetric_batch(circuit: SymmetricCircuit,
-                             values: np.ndarray) -> np.ndarray:
-    """Vectorized twin of evaluate_symmetric over a (rows, n_vars) array."""
-    vals = np.asarray(values)
-    if vals.ndim != 2 or vals.shape[1] != circuit.n_vars:
-        raise InputError("values must be a (rows, n_vars) array")
-    rows = vals.shape[0]
-    worst_top = sum(abs(w) for w in circuit.top_gate_weights) \
-        + sum(abs(w) for _, w in circuit.direct_wires)
-    worst_gate = max((g.weighted_fan_in for g in circuit.bottom), default=0)
-    if max(worst_top, worst_gate) >= ACCUMULATION_GUARD:
-        raise InputError("circuit weights exceed the accumulation guard")
-    acc = np.zeros(rows, dtype=np.int64)
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        gsum = np.zeros(rows, dtype=np.int64)
-        for idx, w in gate.inputs:
-            gsum += w * vals[:, idx].astype(np.int64)
-        acc += np.where(gate.pred.holds_batch(gsum), np.int64(top_w), np.int64(0))
-    for idx, w in circuit.direct_wires:
-        acc += w * vals[:, idx].astype(np.int64)
-    return circuit.top_pred.holds_batch(acc)
-
-
-def simplify_symmetric(circuit: SymmetricCircuit,
-                       restriction: Restriction) -> SymmetricCircuit:
-    """Fold a restriction into the circuit, mirroring the threshold version.
-
-    Constant contributions shift predicates instead of thresholds; gates left
-    with one free input still collapse to a constant, the variable, or its
-    negation, because a Boolean input only produces two sums.
-    """
-    if restriction.n_vars != circuit.n_vars:
-        raise InputError("restriction size does not match the circuit")
-    assigned = restriction.assigned
-    order = restriction.free_order
-    new_index = {v: j for j, v in enumerate(order)}
-
-    kept_gates: list[SymmetricGate] = []
-    kept_weights: list[int] = []
-    direct_accum: dict[int, int] = {}
-    top_constant = 0
-
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        base = 0
-        free_inputs = []
-        for idx, w in gate.inputs:
-            if idx in assigned:
-                base += w * assigned[idx]
-            else:
-                free_inputs.append((new_index[idx], w))
-        if not free_inputs:
-            if gate.pred.holds(base):
-                top_constant += top_w
-        elif len(free_inputs) == 1:
-            nix, w = free_inputs[0]
-            out0 = gate.pred.holds(base)
-            out1 = gate.pred.holds(base + w)
-            if out0 and out1:
-                top_constant += top_w
-            elif out1 and not out0:
-                direct_accum[nix] = direct_accum.get(nix, 0) + top_w
-            elif out0 and not out1:
-                top_constant += top_w
-                direct_accum[nix] = direct_accum.get(nix, 0) - top_w
-        else:
-            kept_gates.append(SymmetricGate(tuple(free_inputs),
-                                            gate.pred.shifted(base)))
-            kept_weights.append(top_w)
-
-    for idx, w in circuit.direct_wires:
-        if idx in assigned:
-            top_constant += w * assigned[idx]
-        else:
-            nix = new_index[idx]
-            direct_accum[nix] = direct_accum.get(nix, 0) + w
-
-    direct = tuple((i, w) for i, w in sorted(direct_accum.items()) if w != 0)
-    return SymmetricCircuit(
-        n_vars=len(order),
-        bottom=tuple(kept_gates),
-        top_gate_weights=tuple(kept_weights),
-        direct_wires=direct,
-        top_pred=circuit.top_pred.shifted(top_constant),
-    )
 
 
 def candidate_values(coeffs: Sequence[tuple[int, int]],
@@ -462,7 +199,7 @@ def sat_by_value_guessing(circuit: SymmetricCircuit, *,
         values = solve_boolean_linear_system(system, counters=cnt)
         if values is not None:
             found = Assignment(values)
-            assert evaluate_symmetric(circuit, found), \
+            assert evaluate(circuit, found), \
                 "value guessing produced a bad witness"
             return found
     return None
@@ -637,69 +374,40 @@ def solve_symmetric(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     if n < 1:
         raise InputError("circuit must have at least one variable")
 
-    def scan_outcome(restriction, params_):
+    chosen: Optional[Fraction] = None
+    if n > fast_path_max_n or force_restriction:
+        densities = wire_distribution(circuit)
+        c = sum(densities.values(), Fraction(0))
+        if p is not None:
+            chosen = Fraction(p)
+        elif not densities:
+            chosen = Fraction(1)
+        else:
+            best = choose_p(densities, c, kappa)
+            if force_restriction or expected_savings(best, densities, c) > 0:
+                chosen = best
+    if chosen is None:
         if n > max_branch_bits:
             raise ResourceGuardError(
                 f"scanning 2^{n} assignments exceeds the 2^{max_branch_bits} guard")
-        full = _vector_scan(circuit, {}, tuple(range(n)), cnt,
-                            batch_eval=evaluate_symmetric_batch)
-        witness = Assignment(full) if full is not None else None
-        if witness is not None:
-            assert evaluate_symmetric(circuit, witness)
-        return SolveOutcome(witness is not None, witness, 1 << n, 0,
-                            restriction, params_, cnt)
-
-    if n <= fast_path_max_n and not force_restriction:
-        return scan_outcome(None, None)
+        return _scan_outcome(circuit, cnt, None, None)
 
     rng = Random(seed if seed is not None else instance_seed(circuit))
-    densities = wire_distribution(circuit)
-    c = sum(densities.values(), Fraction(0))
-    if p is not None:
-        chosen = Fraction(p)
-    elif not densities:
-        chosen = Fraction(1)
-    else:
-        chosen = choose_p(densities, c, kappa)
-        if not force_restriction \
-                and expected_savings(chosen, densities, c) <= 0:
-            return scan_outcome(None, None)
-
     restriction = draw_restriction(circuit, chosen, rng)
-    free = restriction.free
-    free_order = restriction.free_order
-    assigned_vars = tuple(sorted(set(range(n)) - free))
-    bits = len(assigned_vars)
-    if bits > max_branch_bits:
-        raise ResourceGuardError(
-            f"2^{bits} branches exceeds the 2^{max_branch_bits} branch guard")
-    total = 1 << bits
-    if not free:
-        return scan_outcome(restriction, None)
+    assigned_vars, free_order = _branch_vars(restriction, max_branch_bits)
+    if not free_order:
+        return _scan_outcome(circuit, cnt, restriction, None)
 
-    witness_values: Optional[tuple[int, ...]] = None
     fallback_branches = 0
-    for b in range(total):
-        cnt.assignments += 1
-        assigned = {var: (b >> (bits - 1 - pos)) & 1
-                    for pos, var in enumerate(assigned_vars)}
-        branch = Restriction(assigned=assigned, free=free)
-        residual = simplify_symmetric(circuit, branch)
-        if value_tuple_count(residual) <= tuple_budget:
-            found = sat_by_value_guessing(residual, counters=cnt)
-            if found is not None:
-                witness_values = branch.combine(found.values)
-                break
-        else:
-            fallback_branches += 1
-            full = _vector_scan(circuit, assigned, free_order, cnt,
-                                batch_eval=evaluate_symmetric_batch)
-            if full is not None:
-                witness_values = full
-                break
 
-    witness = Assignment(witness_values) if witness_values is not None else None
-    if witness is not None:
-        assert evaluate_symmetric(circuit, witness), "solver produced a bad witness"
-    return SolveOutcome(witness is not None, witness, total, fallback_branches,
-                        restriction, None, cnt)
+    def decide(residual: SymmetricCircuit) -> Optional[Sequence[int]]:
+        nonlocal fallback_branches
+        if value_tuple_count(residual) <= tuple_budget:
+            return sat_by_value_guessing(residual, counters=cnt)
+        fallback_branches += 1
+        return _vector_scan(residual, {}, tuple(range(residual.n_vars)), cnt)
+
+    witness_values = _branch_loop(circuit, assigned_vars, free_order, decide,
+                                  cnt)
+    return _outcome(circuit, witness_values, 1 << len(assigned_vars),
+                    fallback_branches, restriction, None, cnt)

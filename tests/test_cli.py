@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CORPUS = [
     ("circuit", DATA / "tc_or.tc2"),
@@ -16,8 +18,11 @@ CORPUS = [
 
 
 def run_cli(*args):
+    # the checkout's sources come first, as they do for the in-process tests
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "thrsat", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_solve_sat_exit_code_and_witness():

@@ -1,15 +1,18 @@
 """Tests for the text formats: grammar, round-trips, and error reporting."""
 
+from dataclasses import replace
+
 import pytest
 
 from thrsat.errors import ParseError
 from thrsat.formats import (emit_circuit, emit_ilp, emit_symmetric,
                             emit_witness, parse_circuit, parse_ilp,
                             parse_symmetric, parse_witness)
-from thrsat.model import Assignment, ThresholdCircuit, ThresholdGate
+from thrsat.errors import InputError
+from thrsat.model import (Assignment, Predicate, ThresholdCircuit,
+                          ThresholdGate)
 from thrsat.oracle import (GenSpec, generate, random_ilp,
                            random_symmetric_circuit)
-from thrsat.symsat import Predicate
 
 
 def test_single_gate_circuit_text():
@@ -110,6 +113,17 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_symmetric("sc2 2 1 1\nsgate near 1 0:1\nstop ge 1 g0:1\n")
     assert err.value.line == 2
+    # an input past the header's variable count is reported on its own line
+    with pytest.raises(ParseError) as err:
+        parse_circuit("tc2 3 2\ngate 1 0:1 9:1\ngate 1 1:1\ntop 1 g0:1\n")
+    assert err.value.line == 2 and "x9" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_symmetric("sc2 3 2 3\nsgate ge 1 0:1\nsgate eq 1 1:1 3:1\n"
+                        "stop ge 1 g0:1\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse_ilp("ilp 2 2 2\nrow ge 1 0:1\nrow le 1 2:1\n")
+    assert err.value.line == 3
 
 
 def test_header_errors():
@@ -120,6 +134,25 @@ def test_header_errors():
     assert err.value.line == 1
     with pytest.raises(ParseError):
         parse_circuit("ilp 2 0 2\n")
+    for text, parse in (("tc2 3 -1\ntop 1 x0:1\n", parse_circuit),
+                        ("tc2 -3 0\ntop 1\n", parse_circuit),
+                        ("sc2 2 -1 1\nstop ge 1\n", parse_symmetric),
+                        ("ilp 2 -3 2\n", parse_ilp)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 1, text
+
+
+def test_emit_circuit_refuses_non_ge_predicates():
+    circuit = random_symmetric_circuit(6, 8, seed=3, weight_bound=3)
+    assert any(g.pred.kind.value != "ge" for g in circuit.bottom)
+    with pytest.raises(InputError):
+        emit_circuit(circuit)
+    threshold = ThresholdCircuit(2, (ThresholdGate(((0, 1), (1, 1)), 1),),
+                                 (1,), (), 1)
+    with pytest.raises(InputError):
+        emit_circuit(replace(threshold, top_pred=Predicate.eq(1)))
+    assert parse_circuit(emit_circuit(threshold)) == threshold
 
 
 def test_extra_lines_rejected():
@@ -135,7 +168,7 @@ def test_integer_bound_enforced():
         parse_circuit(f"tc2 1 1\ngate 1 0:{-2**31 - 1}\ntop 1 g0:1\n")
     # -2^31 itself is in range.
     circuit = parse_circuit(f"tc2 1 1\ngate {-2**31} 0:1\ntop 1 g0:1\n")
-    assert circuit.bottom[0].threshold == -2 ** 31
+    assert circuit.bottom[0].pred == Predicate.ge(-2 ** 31)
 
 
 def test_top_term_errors():

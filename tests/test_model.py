@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.errors import InputError
-from thrsat.model import (Assignment, Restriction, ThresholdCircuit,
-                          ThresholdGate, evaluate, evaluate_batch, simplify,
-                          wire_stats)
+from thrsat.model import (Assignment, Predicate, Restriction,
+                          ThresholdCircuit, ThresholdGate, evaluate,
+                          evaluate_batch, simplify, wire_stats)
 
 
 @st.composite
@@ -132,4 +132,4 @@ def test_simplify_folds_single_input_gates():
     residual = simplify(circuit, Restriction(assigned={0: 1}, free=frozenset({1})))
     assert residual.bottom == ()
     assert residual.direct_wires == ()
-    assert residual.top_threshold == 1 - 3
+    assert residual.top_pred == Predicate.ge(1 - 3)

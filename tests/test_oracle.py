@@ -1,19 +1,22 @@
 """Tests for the brute-force references and the instance generators."""
 
+import itertools
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.errors import InputError, ResourceGuardError
-from thrsat.model import ThresholdCircuit, evaluate
+from thrsat import sparse_sat
+from thrsat.model import PredKind, SymmetricCircuit, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
-                           brute_ilp, brute_symmetric_sat,
-                           enumerate_satisfying, generate, random_domination,
+                           brute_ilp, enumerate_satisfying, generate,
+                           random_domination,
                            random_eq_system, random_fixed_fanin_circuit,
                            random_ilp, random_mixed_circuit,
                            random_power_circuit, random_symmetric_circuit)
 from thrsat.splitlist import verify
-from thrsat.symsat import SymmetricCircuit, evaluate_symmetric
 from thrsat.vecdom import dominates
 
 
@@ -29,13 +32,38 @@ def test_brute_returns_lex_first_witness():
 
 
 def test_brute_dispatches_on_circuit_family():
-    circuit = random_symmetric_circuit(7, 10, seed=2, weight_bound=3)
-    a = brute_circuit_sat(circuit)
-    b = brute_symmetric_sat(circuit)
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert evaluate_symmetric(circuit, a)
-        assert a.values == b.values
+    # One brute force serves threshold and mixed-predicate circuits alike.
+    for circuit in (random_symmetric_circuit(7, 10, seed=2, weight_bound=3),
+                    random_mixed_circuit(7, 10, seed=2)):
+        witness = brute_circuit_sat(circuit)
+        sats = enumerate_satisfying(circuit)
+        assert (witness is None) == (sats == [])
+        if witness is not None:
+            assert evaluate(circuit, witness)
+            assert witness.values == sats[0]
+
+
+def test_brute_shares_no_scan_with_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the solver's scan")
+
+    # every binding of the solver's scan in the package, wherever imported
+    scan = sparse_sat._vector_scan
+    for name, module in list(sys.modules.items()):
+        if name == "thrsat" or name.startswith("thrsat."):
+            for attr, value in list(vars(module).items()):
+                if value is scan:
+                    monkeypatch.setattr(module, attr, refuse)
+    for seed in range(6):
+        circuit = random_symmetric_circuit(8, 12, seed=seed, weight_bound=3,
+                                           direct_count=seed % 3) \
+            if seed % 2 else random_mixed_circuit(8, 12, seed=seed)
+        witness = brute_circuit_sat(circuit)
+        first = next((values for values in itertools.product((0, 1), repeat=8)
+                      if evaluate(circuit, values)), None)
+        assert (witness is None) == (first is None)
+        if witness is not None:
+            assert witness.values == first
 
 
 def test_brute_guard():
@@ -96,7 +124,9 @@ def test_power_circuit_structure():
 def test_generate_threshold_kinds():
     fixed = generate(GenSpec(kind="threshold_circuit", n=12, c=2, seed=1,
                              distribution="fixed_fanin", fan_in=3))
-    assert isinstance(fixed, ThresholdCircuit)
+    assert isinstance(fixed, SymmetricCircuit)
+    assert {g.pred.kind for g in fixed.bottom} == {fixed.top_pred.kind} \
+        == {PredKind.GE}
     assert fixed.wires == 24
     assert sorted(g.fan_in for g in fixed.bottom) == [3] * 8
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from thrsat.counters import WorkCounters
 from thrsat.errors import ResourceGuardError
-from thrsat.model import (ThresholdCircuit, ThresholdGate, WireStats,
-                          evaluate, wire_stats)
+from thrsat.model import (Predicate, ThresholdCircuit, ThresholdGate,
+                          WireStats, evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_fixed_fanin_circuit, random_mixed_circuit)
 from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction,
@@ -110,7 +110,7 @@ def test_ilp_for_guess_encodes_firing_pattern():
                 fired = 0
                 for j, gate in enumerate(circuit.bottom):
                     s = sum(w * values[i] for i, w in gate.inputs)
-                    if s >= gate.threshold:
+                    if gate.pred.holds(s):
                         fired |= 1 << j
                 assert fired == mask
                 assert evaluate(circuit, values)
@@ -199,8 +199,8 @@ def _peak_top_sum(circuit):
     for values in itertools.product((0, 1), repeat=circuit.n_vars):
         total = sum(top_w for gate, top_w in zip(circuit.bottom,
                                                  circuit.top_gate_weights)
-                    if sum(w * values[i] for i, w in gate.inputs)
-                    >= gate.threshold)
+                    if gate.pred.holds(sum(w * values[i]
+                                           for i, w in gate.inputs)))
         total += sum(w * values[i] for i, w in circuit.direct_wires)
         peak = total if peak is None else max(peak, total)
     return peak
@@ -223,7 +223,7 @@ def test_forced_restriction_routes_match_product_oracle(p, budget, routes):
                                     weight_bound=10, direct_count=n // 2)
         peak = _peak_top_sum(base)
         for top in (peak, peak + 1):
-            circuit = replace(base, top_threshold=top)
+            circuit = replace(base, top_pred=Predicate.ge(top))
             cnt = WorkCounters()
             outcome = solve(circuit, seed=seed, p=p, force_restriction=True,
                             few_gates_budget=budget, counters=cnt)

@@ -1,7 +1,9 @@
 """Tests for symmetric-gate circuits, the equation solver, and the
 free-probability analysis."""
 
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -12,18 +14,17 @@ from hypothesis import strategies as st
 
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError
-from thrsat.model import Restriction
+from thrsat.model import (Predicate, Restriction, SymmetricCircuit,
+                          SymmetricGate, evaluate, evaluate_batch, simplify)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_eq_system, random_symmetric_circuit)
 from thrsat.symsat import (DEFAULT_KAPPA, EqRow, EqSystem, PDistribution,
-                           Predicate, SymmetricCircuit, SymmetricGate,
                            adversarial_densities, candidate_values, choose_p,
-                           evaluate_symmetric, evaluate_symmetric_batch,
                            expected_savings, grid_size, p_grid,
                            residual_value_systems, sat_by_value_guessing,
-                           savings, simplify_symmetric,
-                           solve_boolean_linear_system, solve_symmetric,
-                           value_tuple_count, wire_distribution)
+                           savings, solve_boolean_linear_system,
+                           solve_symmetric, value_tuple_count,
+                           wire_distribution)
 
 
 def all_assignments(n):
@@ -96,8 +97,8 @@ def test_symmetric_circuit_validation():
         SymmetricCircuit(2, (gate,), (1,), ((1, 0),), Predicate.ge(1))
     circuit = SymmetricCircuit(1, (gate,), (1,), (), Predicate.ge(1))
     assert circuit.weighted_wires == 1
-    assert evaluate_symmetric(circuit, (1,))
-    assert not evaluate_symmetric(circuit, (0,))
+    assert evaluate(circuit, (1,))
+    assert not evaluate(circuit, (0,))
 
 
 def test_declared_density_budget():
@@ -121,9 +122,9 @@ def test_batch_matches_scalar(seed):
                                        weight_bound=3)
     n = circuit.n_vars
     rows = np.array(list(all_assignments(n)), dtype=np.uint8)
-    batch = evaluate_symmetric_batch(circuit, rows)
+    batch = evaluate_batch(circuit, rows)
     for row, verdict in zip(rows, batch):
-        assert evaluate_symmetric(circuit, tuple(int(v) for v in row)) == bool(verdict)
+        assert evaluate(circuit, tuple(int(v) for v in row)) == bool(verdict)
 
 
 @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
@@ -135,13 +136,13 @@ def test_simplify_preserves_semantics(seed, rng):
     free = frozenset(i for i in range(n) if rng.random() < 0.5)
     assigned = {i: rng.randint(0, 1) for i in range(n) if i not in free}
     restriction = Restriction(assigned=assigned, free=free)
-    residual = simplify_symmetric(circuit, restriction)
+    residual = simplify(circuit, restriction)
     assert residual.n_vars == len(free)
     assert all(g.fan_in >= 2 for g in residual.bottom)
     for values in all_assignments(len(free)):
         combined = restriction.combine(values)
-        assert evaluate_symmetric(residual, values) \
-            == evaluate_symmetric(circuit, combined)
+        assert evaluate(residual, values) \
+            == evaluate(circuit, combined)
 
 
 # --- value guessing ---------------------------------------------------------
@@ -352,7 +353,7 @@ def test_solve_matches_brute_forced(seed):
     ref = brute_circuit_sat(circuit)
     assert outcome.satisfiable == (ref is not None)
     if outcome.witness is not None:
-        assert evaluate_symmetric(circuit, outcome.witness)
+        assert evaluate(circuit, outcome.witness)
 
 
 def test_solve_fast_path():
@@ -391,3 +392,67 @@ def test_solve_seed_is_deterministic():
     b = solve_symmetric(circuit, force_restriction=True)
     assert a.restriction == b.restriction
     assert a.satisfiable == b.satisfiable
+
+
+def _reachable_top_sums(circuit):
+    """Every top-gate sum the cube reaches, by plain enumeration."""
+    sums = set()
+    for values in itertools.product((0, 1), repeat=circuit.n_vars):
+        total = sum(top_w for gate, top_w in zip(circuit.bottom,
+                                                 circuit.top_gate_weights)
+                    if gate.pred.holds(sum(w * values[i]
+                                           for i, w in gate.inputs)))
+        sums.add(total + sum(w * values[i] for i, w in circuit.direct_wires))
+    return sums
+
+
+def _top_predicates(sums):
+    """One SAT and one UNSAT top predicate of every kind: the SAT ones hold
+    only at or near the largest reachable sum, the UNSAT ones nowhere."""
+    lo, hi = min(sums), max(sums)
+    m = hi - lo + 2   # no reachable sum is congruent to hi + 1 modulo m
+    return [(Predicate.ge(hi), True), (Predicate.eq(hi), True),
+            (Predicate.mod(3, hi % 3), True), (Predicate.members((hi,)), True),
+            (Predicate.ge(hi + 1), False), (Predicate.eq(hi + 1), False),
+            (Predicate.mod(m, (hi + 1) % m), False),
+            (Predicate.members((lo - 1, hi + 1)), False)]
+
+
+@pytest.mark.parametrize("p, budget", [(Fraction(1, 4), 3),
+                                       (Fraction(1, 2), 4)])
+def test_forced_restriction_routes_match_product_oracle(p, budget):
+    """Mixed-predicate circuits with direct wires, under every top
+    predicate kind, SAT and UNSAT, each verdict against a plain enumeration
+    over evaluate.  The tuple budget sits among the residuals' value-tuple
+    counts, so with a nonempty free set the UNSAT solves take value guessing
+    on every branch, the fallback scan on every branch, and both routes in
+    one solve."""
+    taken = set()
+    for seed in range(20):
+        n = 8 + seed % 3
+        base = random_symmetric_circuit(n, n + seed % n, seed=seed,
+                                        weight_bound=3, direct_count=2)
+        for top, sat in _top_predicates(_reachable_top_sums(base)):
+            circuit = replace(base, top_pred=top)
+            cnt = WorkCounters()
+            outcome = solve_symmetric(circuit, seed=seed, p=p,
+                                      force_restriction=True,
+                                      tuple_budget=budget, counters=cnt)
+            assert sat == any(evaluate(circuit, values)
+                              for values in itertools.product(
+                                  (0, 1), repeat=n))
+            assert outcome.satisfiable == sat, (seed, top)
+            if outcome.witness is not None:
+                assert evaluate(circuit, outcome.witness)
+            if sat or not outcome.restriction.free:
+                continue
+            if outcome.fallback_branches == 0:
+                assert cnt.guesses >= outcome.branches
+                taken.add("guess")
+            elif outcome.fallback_branches == outcome.branches:
+                assert cnt.guesses == 0
+                taken.add("fallback")
+            else:
+                assert cnt.guesses > 0
+                taken.add("both")
+    assert taken == {"guess", "fallback", "both"}
