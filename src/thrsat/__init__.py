@@ -15,15 +15,15 @@ from .sparse_sat import SolveOutcome, solve
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
 from .symsat import (EqRow, EqSystem, solve_boolean_linear_system,
                      solve_symmetric)
-from .vecdom import DominationInstance, TaggedVector, find_dominating_pair
+from .vecdom import find_dominating_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "DominationInstance", "EqRow", "EqSystem", "GenSpec",
+    "Assignment", "EqRow", "EqSystem", "GenSpec",
     "IneqSystem", "InputError", "ParseError", "Predicate", "Rel",
     "ResourceGuardError", "Restriction", "Row", "SolveOutcome",
-    "SymmetricCircuit", "SymmetricGate", "TaggedVector", "ThresholdCircuit",
+    "SymmetricCircuit", "SymmetricGate", "ThresholdCircuit",
     "ThresholdGate", "WorkCounters", "brute_circuit_sat", "brute_domination",
     "brute_ilp", "evaluate", "find_dominating_pair",
     "generate", "simplify", "solve", "solve_boolean_linear_system",

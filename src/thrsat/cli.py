@@ -127,7 +127,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--force-restriction", action="store_true",
                      help="skip the small-instance scan and restrict anyway")
     sub.add_argument("--max-assigned", type=int, default=None,
-                     help="branch-bit guard (half-size guard for ilp)")
+                     help="branch-bit guard (for ilp: at most 2^N half assignments)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,6 @@ from .model import (Assignment, Predicate, SymmetricCircuit, SymmetricGate,
                     evaluate_batch)
 from .splitlist import IneqSystem, Rel, Row, verify
 from .symsat import EqRow, EqSystem
-from .vecdom import DominationInstance, TaggedVector
 
 MAX_BRUTE_VARS = 26
 _CHUNK = 1 << 16
@@ -110,18 +109,13 @@ def brute_ilp(system: IneqSystem, *,
     return None
 
 
-def brute_domination(instance: DominationInstance) -> Optional[tuple[int, int]]:
-    """Check all pairs; returns the first dominating pair in (i, j) order."""
-    if not instance.a_side or not instance.b_side:
-        return None
-    a = np.array([v.coords for v in instance.a_side], dtype=np.int64)
-    b = np.array([v.coords for v in instance.b_side], dtype=np.int64)
-    strict = np.array(instance.strict, dtype=bool)
-    for i in range(a.shape[0]):
-        ok = np.where(strict, b < a[i], b <= a[i]).all(axis=1)
+def brute_domination(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
+    """Check all pairs of rows; returns the first (i, j) in row order with
+    a[i] >= b[j] in every coordinate."""
+    for i in range(len(a)):
+        ok = (b <= a[i]).all(axis=1)
         if ok.any():
-            j = int(np.argmax(ok))
-            return instance.a_side[i].tag, instance.b_side[j].tag
+            return i, int(np.argmax(ok))
     return None
 
 
@@ -268,18 +262,15 @@ def random_ilp(n: int, rows: int, arity: int, seed: int, *,
 
 
 def random_domination(n_a: int, n_b: int, d: int, seed: int, *,
-                      coord_bound: int = 64,
-                      strict_fraction: float = 0.0) -> DominationInstance:
-    """Random tagged-vector instance; tags are list positions."""
+                      coord_bound: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Random (n_a, d) and (n_b, d) int64 matrices with entries in
+    [-coord_bound, coord_bound]."""
     if d < 1:
         raise InputError("need at least one coordinate")
-    rng = Random(seed)
-    strict = tuple(rng.random() < strict_fraction for _ in range(d))
-    a = tuple(TaggedVector(tuple(rng.randint(-coord_bound, coord_bound)
-                                 for _ in range(d)), i) for i in range(n_a))
-    b = tuple(TaggedVector(tuple(rng.randint(-coord_bound, coord_bound)
-                                 for _ in range(d)), j) for j in range(n_b))
-    return DominationInstance(a, b, strict)
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(-coord_bound, coord_bound, size=(rows, d),
+                              dtype=np.int64, endpoint=True)
+                 for rows in (n_a, n_b))
 
 
 def random_eq_system(n: int, rows: int, seed: int, *,

@@ -203,8 +203,7 @@ def ilp_for_guess(circuit: SymmetricCircuit,
 
 def sat_few_gates(circuit: SymmetricCircuit, *,
                   counters: Optional[WorkCounters] = None,
-                  max_gates: int = MAX_GUESS_GATES,
-                  native_strict: bool = False) -> Optional[Assignment]:
+                  max_gates: int = MAX_GUESS_GATES) -> Optional[Assignment]:
     """Decide satisfiability by guessing which bottom gates fire.
 
     Each of the 2^m guesses turns the circuit into a linear system handed to
@@ -218,7 +217,7 @@ def sat_few_gates(circuit: SymmetricCircuit, *,
     for mask in range(1 << m):
         cnt.guesses += 1
         system = ilp_for_guess(circuit, mask)
-        witness, _ = solve_ilp(system, native_strict=native_strict, counters=cnt)
+        witness, _ = solve_ilp(system, counters=cnt)
         if witness is not None:
             assert evaluate(circuit, witness), "gate guess produced a bad witness"
             return witness

@@ -1,10 +1,13 @@
 """Feasibility of sparse integer-linear constraint systems over small domains.
 
-The variables are split into two halves.  All assignments to each half are
-listed; the first half is mapped to its vector of row contributions, the
-second to the vector of row slacks.  The system is feasible exactly when some
-contribution vector dominates some slack vector, which the vecdom search
-decides without comparing all pairs.
+Every row is first rewritten as 'sum >= rhs' (a strict row becomes the
+non-strict row with rhs + 1, an equality two opposite rows).  The variables
+are then split into two halves and all assignments to each half are listed
+as one (arity^h, rows) int64 matrix, untagged: the row index encodes the
+half assignment.  The first half's matrix holds row contributions, the
+second's row slacks (rhs minus contribution).  The system is feasible
+exactly when some contribution row dominates some slack row, which the
+non-strict vecdom search decides without comparing all pairs.
 """
 from __future__ import annotations
 
@@ -12,13 +15,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import Assignment
-from .vecdom import DominationInstance, TaggedVector, find_dominating_pair
+from .model import ACCUMULATION_GUARD, Assignment
+from .vecdom import find_dominating_pair
 
 MAX_ROWS = 62
 MAX_HALF_VARS = 28
+
+# normalized rows: (coeffs, rhs) for 'sum of w * x_i >= rhs'
+NormRows = list[tuple[tuple[tuple[int, int], ...], int]]
 
 
 class Rel(str, Enum):
@@ -69,51 +77,35 @@ class IneqSystem:
                     raise InputError(f"row reads x{idx} but system has {self.n_vars} variables")
 
 
-@dataclass(frozen=True)
-class HalfList:
-    """All assignments to one half of the variables, as tagged row-value vectors."""
-
-    var_indices: tuple[int, ...]
-    arity: int
-    vectors: tuple[TaggedVector, ...]
-
-    def __post_init__(self):
-        if len(self.vectors) != self.arity ** len(self.var_indices):
-            raise InputError("half list must contain one vector per half assignment")
-
-
 def _negated(coeffs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     return tuple((i, -w) for i, w in coeffs)
 
 
-def normalize_rows(sys: IneqSystem, keep_strict: bool = False
-                   ) -> list[tuple[tuple[tuple[int, int], ...], int, bool]]:
-    """Rewrite every row as 'sum >= rhs' (or 'sum > rhs' when keep_strict).
+def normalize_rows(sys: IneqSystem) -> NormRows:
+    """Rewrite every row as 'sum >= rhs', as (coeffs, rhs) pairs.
 
-    Equality rows expand into a pair of opposite inequalities.  With integer
-    data a strict row is equivalent to a non-strict row with rhs + 1; that
-    rewrite is the default, keep_strict preserves strictness for the native
-    search path instead.
+    Equality rows expand into a pair of opposite inequalities, and with
+    integer data a strict row is the non-strict row with rhs + 1.  A system
+    whose worst row sum (arity - 1) * sum|w| + |rhs| reaches
+    ACCUMULATION_GUARD is refused, so the int64 half tables cannot wrap.
     """
-    out: list[tuple[tuple[tuple[int, int], ...], int, bool]] = []
+    out: NormRows = []
     for row in sys.rows:
         if row.rel is Rel.GE:
-            out.append((row.coeffs, row.rhs, False))
+            out.append((row.coeffs, row.rhs))
         elif row.rel is Rel.GT:
-            if keep_strict:
-                out.append((row.coeffs, row.rhs, True))
-            else:
-                out.append((row.coeffs, row.rhs + 1, False))
+            out.append((row.coeffs, row.rhs + 1))
         elif row.rel is Rel.LE:
-            out.append((_negated(row.coeffs), -row.rhs, False))
+            out.append((_negated(row.coeffs), -row.rhs))
         elif row.rel is Rel.LT:
-            if keep_strict:
-                out.append((_negated(row.coeffs), -row.rhs, True))
-            else:
-                out.append((_negated(row.coeffs), -row.rhs + 1, False))
+            out.append((_negated(row.coeffs), -row.rhs + 1))
         else:  # EQ
-            out.append((row.coeffs, row.rhs, False))
-            out.append((_negated(row.coeffs), -row.rhs, False))
+            out.append((row.coeffs, row.rhs))
+            out.append((_negated(row.coeffs), -row.rhs))
+    for coeffs, rhs in out:
+        if (sys.arity - 1) * sum(abs(w) for _, w in coeffs) + abs(rhs) \
+                >= ACCUMULATION_GUARD:
+            raise InputError("row weights exceed the accumulation guard")
     return out
 
 
@@ -142,92 +134,77 @@ def verify(sys: IneqSystem, assignment: Union[Assignment, Sequence[int]]) -> boo
     return True
 
 
-def _decode(tag: int, var_indices: tuple[int, ...], arity: int, out: list[int]) -> None:
+def _decode(tag: int, var_indices: Sequence[int], arity: int, out: list[int]) -> None:
     t = tag
     for idx in var_indices:
         out[idx] = t % arity
         t //= arity
 
 
-def half_lists(sys: IneqSystem, keep_strict: bool = False
-               ) -> tuple[HalfList, HalfList, tuple[bool, ...]]:
-    """Materialize both half-assignment lists for the system.
+def _half_table(weights: np.ndarray, arity: int) -> np.ndarray:
+    """Row t: the sum over pos of ((t // arity^pos) % arity) * weights[pos]."""
+    d = weights.shape[1]
+    table = np.zeros((1, d), dtype=np.int64)
+    digits = np.arange(arity, dtype=np.int64)[:, None, None]
+    for w in weights:
+        table = (table + digits * w).reshape(arity * len(table), d)
+    return table
 
-    The first half maps an assignment to its row contributions; the second to
-    the row slacks (rhs minus contribution), so that feasibility becomes a
-    dominating-pair question between the two lists.
+
+def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[np.ndarray, np.ndarray]:
+    """Both half tables of the system, as (arity^h, len(rows)) int64 arrays.
+
+    rows are the system's normalized rows.  The first half is x_0..x_{h-1}
+    with h = ceil(n/2), the second the rest; row t of a table encodes the
+    half assignment whose pos-th variable takes digit (t // arity^pos) %
+    arity.  The first table holds that assignment's row sums, the second
+    rhs minus them, so that feasibility becomes a dominating-pair question
+    between the two.
     """
-    rows = normalize_rows(sys, keep_strict=keep_strict)
-    n, arity = sys.n_vars, sys.arity
-    first = tuple(range((n + 1) // 2))
-    second = tuple(range((n + 1) // 2, n))
-    strict = tuple(s for _, _, s in rows)
-
-    def weights_for(vars_: tuple[int, ...]) -> list[list[int]]:
-        per_var = []
-        for v in vars_:
-            per_var.append([dict(coeffs).get(v, 0) for coeffs, _, _ in rows])
-        return per_var
-
-    def build(vars_: tuple[int, ...], slack_side: bool) -> HalfList:
-        per_var = weights_for(vars_)
-        d = len(rows)
-        vectors = []
-        for tag in range(arity ** len(vars_)):
-            t = tag
-            acc = [0] * d
-            for pos in range(len(vars_)):
-                digit = t % arity
-                t //= arity
-                if digit:
-                    wrow = per_var[pos]
-                    for j in range(d):
-                        acc[j] += digit * wrow[j]
-            if slack_side:
-                coords = tuple(rows[j][1] - acc[j] for j in range(d))
-            else:
-                coords = tuple(acc)
-            vectors.append(TaggedVector(coords, tag))
-        return HalfList(vars_, arity, tuple(vectors))
-
-    return build(first, False), build(second, True), strict
+    weights = np.zeros((sys.n_vars, len(rows)), dtype=np.int64)
+    for j, (coeffs, _) in enumerate(rows):
+        for i, w in coeffs:
+            weights[i, j] = w
+    rhs = np.array([r for _, r in rows], dtype=np.int64)
+    half = (sys.n_vars + 1) // 2
+    return (_half_table(weights[:half], sys.arity),
+            rhs - _half_table(weights[half:], sys.arity))
 
 
-def solve_ilp(sys: IneqSystem, *, native_strict: bool = False,
-              max_half_vars: int = MAX_HALF_VARS,
+def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
               counters: Optional[WorkCounters] = None
               ) -> tuple[Optional[Assignment], WorkCounters]:
     """Find a feasible assignment by splitting and listing, or report None.
 
-    With native_strict, strict rows are handed to the pair search as strict
-    coordinates instead of being rewritten to rhs + 1; the two routes must
-    agree on integer instances.
+    The guard refuses systems whose larger half has more than
+    2^max_half_vars assignments.
     """
     cnt = counters if counters is not None else WorkCounters()
-    n = sys.n_vars
-    n_rows = len(normalize_rows(sys))
-    if n_rows > MAX_ROWS:
-        raise ResourceGuardError(f"{n_rows} normalized rows exceeds the {MAX_ROWS}-row guard")
+    n, arity = sys.n_vars, sys.arity
+    rows = normalize_rows(sys)
+    if len(rows) > MAX_ROWS:
+        raise ResourceGuardError(f"{len(rows)} normalized rows exceeds the {MAX_ROWS}-row guard")
     half = (n + 1) // 2
-    if half > max_half_vars:
+    # arity^half > 2^max_half_vars, tested by bit length so that a large
+    # max_half_vars builds no large power; the first test keeps arity^half small
+    if half > max_half_vars or (arity ** half - 1).bit_length() > max_half_vars:
         raise ResourceGuardError(
-            f"half size {half} exceeds the {max_half_vars}-variable guard")
+            f"{arity}^{half} half assignments exceeds the 2^{max_half_vars} guard")
 
-    a_half, b_half, strict = half_lists(sys, keep_strict=native_strict)
-    cnt.vectors += len(a_half.vectors) + len(b_half.vectors)
+    a, b = half_lists(sys, rows)
+    cnt.vectors += len(a) + len(b)
 
-    if n_rows == 0:
-        pair = (a_half.vectors[0].tag, b_half.vectors[0].tag)
+    if not rows:
+        pair = (0, 0)
     else:
-        inst = DominationInstance(a_half.vectors, b_half.vectors, strict)
-        pair, vcnt = find_dominating_pair(inst)
+        pair, vcnt = find_dominating_pair(a, b)
         cnt.comparisons += vcnt.comparisons
         if pair is None:
             return None, cnt
 
     values = [0] * n
-    _decode(pair[0], a_half.var_indices, sys.arity, values)
-    _decode(pair[1], b_half.var_indices, sys.arity, values)
-    found = Assignment(tuple(values), sys.arity)
+    _decode(pair[0], range(half), arity, values)
+    _decode(pair[1], range(half, n), arity, values)
+    found = Assignment(tuple(values), arity)
     assert verify(sys, found), "split-and-list produced an infeasible witness"
     return found, cnt

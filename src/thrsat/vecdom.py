@@ -1,50 +1,25 @@
-"""Dominating-pair search between two sets of integer vectors.
+"""Dominating-pair search between two integer matrices.
 
-Given sets A and B of d-dimensional vectors, find u in A and v in B with
-u >= v in every coordinate (or strictly greater where a coordinate is marked
-strict).  The search splits on the median of the current first coordinate:
+Given an (N_a, d) matrix A and an (N_b, d) matrix B of int64 entries, find a
+row u of A and a row v of B with u >= v in every coordinate; the answer is
+the pair of row indices.  The search is non-strict only: a strict constraint
+x > y over the integers is x >= y + 1, which is how splitlist rewrites its
+strict rows.  The search splits on the median of the current coordinate:
 pairs entirely above or entirely below the median recurse at the same
-dimension, while pairs already decided on that coordinate recurse with the
-coordinate dropped.  Work is near-linear for fixed d.
+coordinate, while pairs already decided on that coordinate recurse with the
+coordinate dropped; the last coordinate is decided by comparing the maximum
+over A with the minimum over B.  The recursion carries index arrays into the
+two matrices and copies no rows.  Work is near-linear for fixed d.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class TaggedVector:
-    coords: tuple[int, ...]
-    tag: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
-
-
-@dataclass(frozen=True)
-class DominationInstance:
-    a_side: tuple[TaggedVector, ...]
-    b_side: tuple[TaggedVector, ...]
-    strict: tuple[bool, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_side", tuple(self.a_side))
-        object.__setattr__(self, "b_side", tuple(self.b_side))
-        if self.strict is None:
-            d = len(self.a_side[0].coords) if self.a_side else (
-                len(self.b_side[0].coords) if self.b_side else 0)
-            object.__setattr__(self, "strict", (False,) * d)
-        else:
-            object.__setattr__(self, "strict", tuple(bool(s) for s in self.strict))
-        d = len(self.strict)
-        for v in self.a_side + self.b_side:
-            if len(v.coords) != d:
-                raise InputError("all vectors must have the same dimension as the strict mask")
 
 
 @dataclass
@@ -54,9 +29,9 @@ class VecdomCounters:
     median_selections: int = 0
 
 
-def dominates(u: Sequence[int], v: Sequence[int], strict: Sequence[bool]) -> bool:
+def dominates(u: Sequence[int], v: Sequence[int]) -> bool:
     """Direct coordinatewise check used for verification."""
-    return all(a > b if s else a >= b for a, b, s in zip(u, v, strict))
+    return all(a >= b for a, b in zip(u, v))
 
 
 def count_bound(n: int, d: int) -> int:
@@ -70,131 +45,75 @@ def count_bound(n: int, d: int) -> int:
     return math.comb(d + log_term + 2, d + 1) * n
 
 
-def rewrite_strict_as_nonstrict(inst: DominationInstance) -> DominationInstance:
-    """Integer rewrite of strict coordinates: bump each B coordinate that is
-    strict by one and clear the flags.  Equivalent on integer inputs; used to
-    cross-check the native strict handling."""
-    if not any(inst.strict):
-        return inst
-    new_b = tuple(
-        TaggedVector(tuple(x + 1 if s else x for x, s in zip(v.coords, inst.strict)), v.tag)
-        for v in inst.b_side)
-    return DominationInstance(inst.a_side, new_b, (False,) * len(inst.strict))
-
-
-def _select_median(values: list[int], cnt: VecdomCounters) -> int:
-    """Lower median by randomized quickselect with a sort fallback."""
-    cnt.median_selections += 1
-    cnt.comparisons += len(values)
-    k = len(values) // 2
-    rng = random.Random((len(values) * 0x9E3779B1) & 0xFFFFFFFF)
-    xs = values
-    for _ in range(64):
-        if len(xs) == 1:
-            return xs[0]
-        pivot = xs[rng.randrange(len(xs))]
-        less = [x for x in xs if x < pivot]
-        if k < len(less):
-            xs = less
-            continue
-        n_eq = sum(1 for x in xs if x == pivot)
-        if k < len(less) + n_eq:
-            return pivot
-        k -= len(less) + n_eq
-        xs = [x for x in xs if x > pivot]
-    return sorted(xs)[k]
-
-
-def _scan_dim(A: list, B: list, c0: int, strict_c: bool, cnt: VecdomCounters):
-    """One-dimensional base case: sort the union and scan for the first A
-    entry preceded by a B entry.  Tie order encodes strictness."""
-    b_key = 1 if strict_c else 0
-    a_key = 1 - b_key
-    entries = [(v.coords[c0], b_key, True, v) for v in B]
-    entries += [(u.coords[c0], a_key, False, u) for u in A]
-    entries.sort(key=lambda e: (e[0], e[1]))
-    cnt.comparisons += len(entries)
-    first_b = None
-    for _, _, is_b, vec in entries:
-        if is_b:
-            if first_b is None:
-                first_b = vec
-        elif first_b is not None:
-            return vec, first_b
-    return None
-
-
-def _search(A: list, B: list, c0: int, strict: tuple[bool, ...],
-            cnt: VecdomCounters, depth: int, depth_limit: int):
+def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+            c0: int, cnt: VecdomCounters, depth: int, depth_limit: int):
     cnt.recursion_nodes += 1
     if depth > depth_limit:
         raise AssertionError("domination search exceeded its depth guard")
-    if not A or not B:
+    if not len(ia) or not len(ib):
         return None
-    remaining = len(strict) - c0
-    if remaining == 0:
-        # every coordinate already decided strictly above this point
-        return A[0], B[0]
-    if remaining == 1:
-        return _scan_dim(A, B, c0, strict[c0], cnt)
+    if c0 == a.shape[1]:
+        # every coordinate already decided above this point
+        return ia[0], ib[0]
+    xa = a[ia, c0]
+    xb = b[ib, c0]
+    cnt.comparisons += len(ia) + len(ib)
+    if c0 == a.shape[1] - 1:
+        # a pair exists iff max(xa) >= min(xb); of the A rows that reach the
+        # first minimum of xb, take the smallest (the first on ties)
+        j = int(np.argmin(xb))
+        reach = np.flatnonzero(xa >= xb[j])
+        if not len(reach):
+            return None
+        return ia[reach[np.argmin(xa[reach])]], ib[j]
 
-    values = [u.coords[c0] for u in A]
-    values += [v.coords[c0] for v in B]
-    med = _select_median(values, cnt)
+    values = np.concatenate((xa, xb))
+    k = len(values) // 2
+    med = np.partition(values, k)[k]
+    cnt.median_selections += 1
+    cnt.comparisons += len(values)
+    a_up, a_down = xa > med, xa < med
+    b_up, b_down = xb > med, xb < med
 
-    a_plus: list = []
-    a_eq: list = []
-    a_minus: list = []
-    for u in A:
-        x = u.coords[c0]
-        (a_plus if x > med else a_eq if x == med else a_minus).append(u)
-    b_plus: list = []
-    b_eq: list = []
-    b_minus: list = []
-    for v in B:
-        x = v.coords[c0]
-        (b_plus if x > med else b_eq if x == med else b_minus).append(v)
-    cnt.comparisons += len(A) + len(B)
-
-    res = _search(a_plus, b_plus, c0, strict, cnt, depth + 1, depth_limit)
-    if res is not None:
-        return res
-    if strict[c0]:
-        # a strictly larger first coordinate needs A above the median against
-        # B at or below it, plus A at the median against B strictly below
-        res = _search(a_plus, b_eq + b_minus, c0 + 1, strict, cnt, depth + 1, depth_limit)
-        if res is not None:
-            return res
-        res = _search(a_eq, b_minus, c0 + 1, strict, cnt, depth + 1, depth_limit)
-        if res is not None:
-            return res
-    else:
-        res = _search(a_eq + a_plus, b_eq + b_minus, c0 + 1, strict, cnt,
+    res = _search(a, b, ia[a_up], ib[b_up], c0, cnt, depth + 1, depth_limit)
+    if res is None:
+        a_eq = ~(a_up | a_down)
+        b_eq = ~(b_up | b_down)
+        res = _search(a, b, np.concatenate((ia[a_eq], ia[a_up])),
+                      np.concatenate((ib[b_eq], ib[b_down])), c0 + 1, cnt,
                       depth + 1, depth_limit)
-        if res is not None:
-            return res
-    return _search(a_minus, b_minus, c0, strict, cnt, depth + 1, depth_limit)
+    if res is None:
+        res = _search(a, b, ia[a_down], ib[b_down], c0, cnt, depth + 1,
+                      depth_limit)
+    return res
 
 
-def find_dominating_pair(inst: DominationInstance,
+def find_dominating_pair(a: np.ndarray, b: np.ndarray,
                          counters: Optional[VecdomCounters] = None
                          ) -> tuple[Optional[tuple[int, int]], VecdomCounters]:
-    """Return (tag_a, tag_b) for some dominating pair, or None if there is
-    none, together with the work counters for the run."""
+    """Return (i, j) with a[i] >= b[j] in every coordinate, or None if no
+    such pair exists, together with the work counters for the run.
+
+    a and b are (rows, d) int64 arrays with the same d.
+    """
+    for side in (a, b):
+        if not isinstance(side, np.ndarray) or side.ndim != 2 \
+                or side.dtype != np.int64:
+            raise InputError("both sides must be (rows, d) int64 arrays")
+    if a.shape[1] != b.shape[1]:
+        raise InputError("both sides must have the same dimension")
     cnt = counters if counters is not None else VecdomCounters()
-    A = list(inst.a_side)
-    B = list(inst.b_side)
-    if not A or not B:
+    if not len(a) or not len(b):
         cnt.recursion_nodes += 1
         return None, cnt
-    d = len(inst.strict)
+    d = a.shape[1]
     if d < 1:
         raise InputError("dimension must be at least 1 when both sides are nonempty")
-    depth_limit = (len(A) + len(B)).bit_length() + d + 8
-    res = _search(A, B, 0, inst.strict, cnt, 0, depth_limit)
+    depth_limit = (len(a) + len(b)).bit_length() + d + 8
+    res = _search(a, b, np.arange(len(a)), np.arange(len(b)), 0, cnt, 0,
+                  depth_limit)
     if res is None:
         return None, cnt
-    u, v = res
-    assert dominates(u.coords, v.coords, inst.strict), \
-        "search returned a pair that does not dominate"
-    return (u.tag, v.tag), cnt
+    i, j = int(res[0]), int(res[1])
+    assert dominates(a[i], b[j]), "search returned a pair that does not dominate"
+    return (i, j), cnt

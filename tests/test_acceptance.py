@@ -24,8 +24,7 @@ from thrsat.splitlist import solve_ilp, verify
 from thrsat.symsat import (adversarial_densities, choose_p, expected_savings,
                            p_grid, residual_value_systems, savings,
                            solve_symmetric)
-from thrsat.vecdom import (DominationInstance, TaggedVector, count_bound,
-                           find_dominating_pair)
+from thrsat.vecdom import count_bound, find_dominating_pair
 from thrsat import bench
 
 
@@ -87,15 +86,9 @@ def test_criterion_03_symmetric_solver_matches_brute():
 
 def _no_pair_instance(n, d, seed):
     """Random instance with the B side lifted past every A sum: no pair."""
-    rng = Random(seed)
-    a = [tuple(rng.randint(-64, 64) for _ in range(d)) for _ in range(n)]
-    b = [tuple(rng.randint(-64, 64) for _ in range(d)) for _ in range(n)]
-    shift = (max(sum(v) for v in a) - min(sum(v) for v in b)) // d + 1
-    b = [tuple(x + shift for x in v) for v in b]
-    return DominationInstance(
-        tuple(TaggedVector(v, i) for i, v in enumerate(a)),
-        tuple(TaggedVector(v, j) for j, v in enumerate(b)),
-        tuple([False] * d))
+    a, b = random_domination(n, n, d, seed=seed)
+    shift = (a.sum(axis=1).max() - b.sum(axis=1).min()) // d + 1
+    return a, b + shift
 
 
 def test_criterion_04_domination_work_bound():
@@ -104,14 +97,14 @@ def test_criterion_04_domination_work_bound():
     for exp in range(8, 15):
         n = 1 << exp
         for d in range(2, 11):
-            for inst in (random_domination(n, n, d, seed=exp * 100 + d),
+            for a, b in (random_domination(n, n, d, seed=exp * 100 + d),
                          _no_pair_instance(n, d, seed=exp * 100 + d)):
-                pair, cnt = find_dominating_pair(inst)
-                total = len(inst.a_side) + len(inst.b_side)
+                pair, cnt = find_dominating_pair(a, b)
+                total = len(a) + len(b)
                 assert cnt.recursion_nodes <= 8 * count_bound(total, d), \
                     (n, d, cnt.recursion_nodes)
                 if n <= 1024:
-                    ref = brute_domination(inst)
+                    ref = brute_domination(a, b)
                     assert (pair is None) == (ref is None), (n, d)
                 runs += 1
     _announce(4, f"work bound holds on {runs} runs, verdicts checked to n=1024")

@@ -128,6 +128,15 @@ def test_malformed_file_exits_one(tmp_path):
     assert "line 2" in res.stderr
 
 
+def test_ilp_half_guard_exits_one(tmp_path):
+    # 1000^10 half assignments: refused before any list is built
+    big = tmp_path / "wide.ilp"
+    big.write_text("ilp 20 0 1000\n")
+    res = run_cli("solve", "ilp", str(big))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+
+
 def test_missing_file_exits_one():
     res = run_cli("solve", "circuit", "/nonexistent/file.tc2")
     assert res.returncode == 1

@@ -80,12 +80,14 @@ def test_brute_ilp_verifies():
 
 
 def test_brute_domination_first_pair():
-    inst = random_domination(20, 20, 3, seed=8)
-    pair = brute_domination(inst)
+    a, b = random_domination(20, 20, 3, seed=8)
+    pair = brute_domination(a, b)
     if pair is not None:
-        tag_a, tag_b = pair
-        assert dominates(inst.a_side[tag_a].coords, inst.b_side[tag_b].coords,
-                         inst.strict)
+        i, j = pair
+        assert dominates(a[i], b[j])
+        assert not any(dominates(a[k], b[m]) for k in range(i)
+                       for m in range(len(b)))
+        assert not any(dominates(a[i], b[m]) for m in range(j))
 
 
 @given(st.integers(0, 10_000))
@@ -159,8 +161,8 @@ def test_generate_same_spec_same_instance():
 def test_generate_eq_and_vectors():
     system = generate(GenSpec(kind="eq_system", n=8, rows=3, seed=2))
     assert system.n_vars == 8 and len(system.rows) == 3
-    inst = generate(GenSpec(kind="vectors", n=30, rows=4, seed=2))
-    assert len(inst.a_side) == 30 and len(inst.strict) == 4
+    a, b = generate(GenSpec(kind="vectors", n=30, rows=4, seed=2))
+    assert a.shape == b.shape == (30, 4)
 
 
 def test_genspec_validation():

@@ -2,40 +2,36 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thrsat.errors import InputError
 from thrsat.oracle import brute_domination, random_domination
-from thrsat.vecdom import (DominationInstance, TaggedVector, VecdomCounters,
-                           count_bound, dominates, find_dominating_pair,
-                           rewrite_strict_as_nonstrict)
+from thrsat.vecdom import (VecdomCounters, count_bound, dominates,
+                           find_dominating_pair)
 
 
-def make_instance(a_coords, b_coords, strict):
-    a = tuple(TaggedVector(tuple(v), i) for i, v in enumerate(a_coords))
-    b = tuple(TaggedVector(tuple(v), j) for j, v in enumerate(b_coords))
-    return DominationInstance(a, b, tuple(strict))
+def make_instance(a_rows, b_rows, d):
+    return (np.array(a_rows, dtype=np.int64).reshape(len(a_rows), d),
+            np.array(b_rows, dtype=np.int64).reshape(len(b_rows), d))
 
 
-def check_against_brute(inst):
-    pair, cnt = find_dominating_pair(inst)
-    ref = brute_domination(inst)
+def check_against_brute(a, b):
+    pair, cnt = find_dominating_pair(a, b)
+    ref = brute_domination(a, b)
     assert (pair is None) == (ref is None)
     if pair is not None:
-        tag_a, tag_b = pair
-        u = next(v for v in inst.a_side if v.tag == tag_a)
-        v = next(w for w in inst.b_side if w.tag == tag_b)
-        assert dominates(u.coords, v.coords, inst.strict)
+        i, j = pair
+        assert dominates(a[i], b[j])
     return cnt
 
 
 def test_dominates_basics():
-    assert dominates((3, 3), (3, 2), (False, False))
-    assert not dominates((3, 3), (3, 2), (True, False))
-    assert dominates((3, 3), (2, 2), (True, True))
-    assert not dominates((1, 5), (2, 2), (False, False))
+    assert dominates((3, 3), (3, 2))
+    assert not dominates((1, 5), (2, 2))
 
 
 def test_count_bound_formula():
@@ -46,77 +42,85 @@ def test_count_bound_formula():
 
 
 def test_empty_sides():
-    inst = make_instance([], [(1,)], [False])
-    assert find_dominating_pair(inst)[0] is None
-    inst = make_instance([(1,)], [], [False])
-    assert find_dominating_pair(inst)[0] is None
+    assert find_dominating_pair(*make_instance([], [(1,)], 1))[0] is None
+    assert find_dominating_pair(*make_instance([(1,)], [], 1))[0] is None
 
 
 def test_one_dimension_tags():
-    inst = make_instance([(5,), (2,)], [(3,), (7,)], [False])
-    pair, _ = find_dominating_pair(inst)
+    a, b = make_instance([(5,), (2,)], [(3,), (7,)], 1)
+    pair, _ = find_dominating_pair(a, b)
     assert pair is not None
-    tag_a, tag_b = pair
-    assert inst.a_side[tag_a].coords[0] >= inst.b_side[tag_b].coords[0]
-
-
-def test_strict_rewrite_equivalence():
-    for seed in range(40):
-        inst = random_domination(12, 14, 3, seed=seed, coord_bound=4,
-                                 strict_fraction=0.6)
-        rewritten = rewrite_strict_as_nonstrict(inst)
-        assert not any(rewritten.strict)
-        assert (brute_domination(inst) is None) \
-            == (brute_domination(rewritten) is None)
+    i, j = pair
+    assert a[i, 0] >= b[j, 0]
 
 
 @given(st.integers(0, 400))
 @settings(max_examples=60, deadline=None)
 def test_matches_brute_nonstrict(seed):
-    inst = random_domination(1 + seed % 17, 1 + (seed * 7) % 19,
+    a, b = random_domination(1 + seed % 17, 1 + (seed * 7) % 19,
                              1 + seed % 5, seed=seed, coord_bound=5)
-    check_against_brute(inst)
+    check_against_brute(a, b)
 
 
-@given(st.integers(0, 400))
-@settings(max_examples=60, deadline=None)
-def test_matches_brute_strict(seed):
-    inst = random_domination(1 + seed % 13, 1 + (seed * 3) % 17,
-                             1 + seed % 4, seed=seed, coord_bound=4,
-                             strict_fraction=0.5)
-    check_against_brute(inst)
+@st.composite
+def tied_instances(draw):
+    """Coordinates in [-2, 2], so most comparisons are ties, and some
+    columns holding one value on both sides."""
+    d = draw(st.integers(1, 6))
+    coords = st.integers(-2, 2)
+    a = draw(arrays(np.int64, (draw(st.integers(0, 14)), d), elements=coords))
+    b = draw(arrays(np.int64, (draw(st.integers(0, 14)), d), elements=coords))
+    for col in draw(st.sets(st.integers(0, d - 1))):
+        a[:, col] = b[:, col] = draw(coords)
+    return a, b
+
+
+@given(tied_instances())
+@settings(max_examples=200, deadline=None)
+def test_matches_brute_heavy_ties(inst):
+    a, b = inst
+    cnt = check_against_brute(a, b)
+    if len(a) and len(b):
+        assert cnt.recursion_nodes <= 8 * count_bound(len(a) + len(b), a.shape[1])
 
 
 def test_ties_resolved_consistently():
     # Lots of equal coordinates to stress the equal-bucket handling.
-    inst = make_instance([(1, 1), (1, 1)], [(1, 1), (1, 1)], [False, False])
-    pair, _ = find_dominating_pair(inst)
+    a, b = make_instance([(1, 1), (1, 1)], [(1, 1), (1, 1)], 2)
+    pair, _ = find_dominating_pair(a, b)
     assert pair is not None
-    inst = make_instance([(1, 1)], [(1, 1)], [True, False])
-    assert find_dominating_pair(inst)[0] is None
-    assert brute_domination(inst) is None
 
 
 def test_work_bound_on_random_instances():
     for seed in range(10):
         n = 200 + seed * 57
         d = 2 + seed % 5
-        inst = random_domination(n, n, d, seed=seed)
-        cnt = check_against_brute(inst)
+        a, b = random_domination(n, n, d, seed=seed)
+        cnt = check_against_brute(a, b)
         assert cnt.recursion_nodes <= 8 * count_bound(2 * n, d)
 
 
 def test_dimension_zero_rejected():
-    a = (TaggedVector((), 0),)
+    a = np.zeros((1, 0), dtype=np.int64)
     with pytest.raises(InputError):
-        find_dominating_pair(DominationInstance(a, a, ()))
+        find_dominating_pair(a, a)
+
+
+def test_boundary_checks_shape_and_dtype():
+    a = np.zeros((2, 3), dtype=np.int64)
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3)),
+                np.zeros(3, dtype=np.int64), [[0, 0, 0]]):
+        with pytest.raises(InputError):
+            find_dominating_pair(a, bad)
+        with pytest.raises(InputError):
+            find_dominating_pair(bad, a)
 
 
 def test_counters_accumulate():
     cnt = VecdomCounters()
-    inst = random_domination(50, 50, 3, seed=1)
-    find_dominating_pair(inst, counters=cnt)
+    a, b = random_domination(50, 50, 3, seed=1)
+    find_dominating_pair(a, b, counters=cnt)
     before = cnt.recursion_nodes
     assert before > 0
-    find_dominating_pair(inst, counters=cnt)
+    find_dominating_pair(a, b, counters=cnt)
     assert cnt.recursion_nodes == 2 * before
