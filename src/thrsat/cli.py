@@ -38,15 +38,17 @@ def _print_verdict(witness: Optional[Assignment]) -> int:
     return SAT_EXIT
 
 
-def _print_counters(cnt: WorkCounters) -> None:
+def _print_counters(cnt: WorkCounters, eliminated: int) -> None:
     print(f"counters: assignments={cnt.assignments} vectors={cnt.vectors} "
           f"comparisons={cnt.comparisons} guesses={cnt.guesses} "
-          f"eq_solves={cnt.eq_solves} total={cnt.total()}", file=sys.stderr)
+          f"eq_solves={cnt.eq_solves} total={cnt.total()} "
+          f"eliminated={eliminated}", file=sys.stderr)
 
 
 def _run_instance(args, use_oracle: bool) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     cnt = WorkCounters()
+    eliminated = 0
     if args.kind in ("circuit", "symmetric"):
         circuit = parse_circuit(text) if args.kind == "circuit" \
             else parse_symmetric(text)
@@ -57,9 +59,11 @@ def _run_instance(args, use_oracle: bool) -> int:
             if args.max_assigned is not None:
                 kwargs["max_branch_bits"] = args.max_assigned
             solver = solve if args.kind == "circuit" else solve_symmetric
-            witness = solver(circuit, seed=args.seed,
+            outcome = solver(circuit, seed=args.seed,
                              force_restriction=args.force_restriction,
-                             counters=cnt, **kwargs).witness
+                             counters=cnt, **kwargs)
+            witness = outcome.witness
+            eliminated = len(outcome.eliminated)
     else:
         system = parse_ilp(text)
         if use_oracle:
@@ -70,7 +74,7 @@ def _run_instance(args, use_oracle: bool) -> int:
                 kwargs["max_half_vars"] = args.max_assigned
             witness, _ = solve_ilp(system, counters=cnt, **kwargs)
     code = _print_verdict(witness)
-    _print_counters(cnt)
+    _print_counters(cnt, eliminated)
     return code
 
 
@@ -125,9 +129,10 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="restriction seed (default: derived from the instance)")
     sub.add_argument("--force-restriction", action="store_true",
-                     help="skip the small-instance scan and restrict anyway")
+                     help="draw the paper's restriction (circuits: eliminate "
+                          "its free set, not the greedy set)")
     sub.add_argument("--max-assigned", type=int, default=None,
-                     help="branch-bit guard (for ilp: at most 2^N half assignments)")
+                     help="enumerated-bit guard (for ilp: at most 2^N half assignments)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,29 +1,24 @@
 """Satisfiability of sparse depth-two threshold circuits, and the parts of
 the restriction pipeline that both solvers share.
 
-The solver samples a random restriction that leaves each variable free with
-a probability tuned to the circuit's wire density, then enumerates all
-assignments to the non-free variables.  Each branch folds into a residual
-circuit over the free variables whose gates are exactly the exceptional
-gates, those with two or more free inputs.  That set depends only on the
-free set, so the route is decided once per restriction and taken by every
-branch:
+Every threshold solve is one `eliminate` call.  It enumerates the variables
+outside a gate-independent set S, one in which no bottom gate has two
+inputs, in numpy blocks, and decides S in closed form: with the other
+variables fixed, the top sum is a constant plus one term per variable of S.
+By default S is a greedy independent set, chosen without randomness.  When
+the caller asks for the paper's random restriction, S is the free variables
+of one unbiased draw that lie in no exceptional gate (a gate with two or
+more free inputs); an empty S makes the kernel a cube scan.
 
-* no exceptional gate: every residual is a single threshold over the free
-  variables, decided in closed form for whole blocks of branches at once;
-* at most the residual budget of them: the shared branch driver folds each
-  branch into its residual and hands it to a decider, here one that guesses
-  the residual's gate outputs and runs the split-and-list search on each
-  guess;
-* more than the budget: one exhaustive scan of the cube, branch by branch.
-
-The symmetric-gate solver uses the same scan, the same branch driver and
-the same witness check, with its own decider.  Every route is exact and
-every witness is checked before it is returned.
+The symmetric-gate solver uses the cube scan, the branch driver and the
+witness check defined here.  Gate guessing with split-and-list
+(`sat_few_gates`) stays as library API for circuits with few gates.  Every
+witness is checked before it is returned.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -34,15 +29,17 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (Assignment, Restriction, SymmetricCircuit, WireStats,
-                    branch_folder, check_accumulation, evaluate,
-                    evaluate_batch, require_threshold, wire_stats)
+from .model import (ACCUMULATION_GUARD, Assignment, Restriction,
+                    SymmetricCircuit, WireStats, branch_folder,
+                    check_accumulation, evaluate, evaluate_batch,
+                    require_threshold, wire_stats)
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_GUESS_GATES = 60
 MAX_BRANCH_BITS = 30
 _SCAN_CHUNK_BITS = 14
+_BLOCK_ELEMENT_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -148,26 +145,42 @@ def exceptional_gates(circuit: SymmetricCircuit,
 
 
 def sample_restriction(circuit: SymmetricCircuit, params: RestrictionParams,
-                       rng: Random, max_draws: int = 10
-                       ) -> tuple[Restriction, int]:
-    """Draw restrictions until the exceptional-gate count is within twice its
-    expectation bound (3*delta*p*n); after max_draws, keep the best draw.
+                       rng: Random) -> tuple[Restriction, int]:
+    """One draw at params.p and its exceptional-gate count.  The draw is kept
+    whatever its count: redrawing for a small count favours small free sets."""
+    r = draw_restriction(circuit, params.p, rng)
+    return r, len(exceptional_gates(circuit, r.free))
 
-    Returns the restriction together with its exceptional-gate count.
+
+def greedy_independent_set(circuit: SymmetricCircuit) -> tuple[int, ...]:
+    """A gate-independent set, ascending, chosen without randomness.
+
+    Two variables are gate-neighbours when some bottom gate reads both.
+    Repeatedly the live variable with the fewest live gate-neighbours,
+    lowest index first, joins the set, and it and its neighbours retire.
     """
     n = circuit.n_vars
-    cap = 2 * 3 * params.delta * params.p * n
-    best: Optional[Restriction] = None
-    best_exc = -1
-    for _ in range(max_draws):
-        r = draw_restriction(circuit, params.p, rng)
-        exc = len(exceptional_gates(circuit, r.free))
-        if best is None or exc < best_exc:
-            best, best_exc = r, exc
-        if exc <= cap:
-            return r, exc
-    assert best is not None
-    return best, best_exc
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for gate in circuit.bottom:
+        for i, _ in gate.inputs:
+            neighbours[i].update(k for k, _ in gate.inputs if k != i)
+    degree = [len(nb) for nb in neighbours]
+    live = [True] * n
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    chosen = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        # degrees only fall, so an entry that disagrees with one is stale
+        if live[v] and d == degree[v]:
+            chosen.append(v)
+            retired = [v] + [u for u in neighbours[v] if live[u]]
+            for r in retired:
+                live[r] = False
+            for u in [u for r in retired for u in neighbours[r] if live[u]]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return tuple(sorted(chosen))
 
 
 def instance_seed(circuit) -> int:
@@ -260,13 +273,14 @@ def _vector_scan(circuit: SymmetricCircuit, fixed: dict[int, int],
 class SolveOutcome:
     """Result of one solver run.
 
-    branches is the size of the enumerated branch space, 2^(n - |free|).
-    fallback_branches counts the branches decided by exhaustive scanning
-    rather than by their residual: for the threshold solver, the branches
-    its single cube scan visited when the restriction left more exceptional
-    gates than the budget (all of them when the circuit is UNSAT, none on
-    the other routes); for the symmetric solver, the branches whose residual
-    had too many value tuples to guess.
+    branches is the size of the enumerated space: 2^(n - |eliminated|) rows
+    for the threshold solver, whose counters.assignments counts the rows
+    examined, and 2^(n - |free|) branches for the symmetric solver.
+    fallback_branches counts the symmetric solver's branches whose residual
+    had too many value tuples to guess, and is 0 for the threshold solver.
+    restriction and params are the drawn restriction and its knobs, None
+    when nothing was drawn.  eliminated is the set S the threshold solver
+    decided in closed form, ascending; it is empty for the symmetric solver.
     """
 
     satisfiable: bool
@@ -276,19 +290,21 @@ class SolveOutcome:
     restriction: Optional[Restriction]
     params: Optional[RestrictionParams]
     counters: WorkCounters = field(default_factory=WorkCounters)
+    eliminated: tuple[int, ...] = ()
 
 
 def _outcome(circuit: SymmetricCircuit,
              witness_values: Optional[Sequence[int]], branches: int,
              fallback_branches: int, restriction: Optional[Restriction],
-             params: Optional[RestrictionParams],
-             cnt: WorkCounters) -> SolveOutcome:
+             params: Optional[RestrictionParams], cnt: WorkCounters,
+             eliminated: tuple[int, ...] = ()) -> SolveOutcome:
     """The solve's result, after checking its witness on the circuit."""
     witness = Assignment(witness_values) if witness_values is not None else None
     if witness is not None:
         assert evaluate(circuit, witness), "solver produced a bad witness"
     return SolveOutcome(witness is not None, witness, branches,
-                        fallback_branches, restriction, params, cnt)
+                        fallback_branches, restriction, params, cnt,
+                        eliminated)
 
 
 def _scan_outcome(circuit: SymmetricCircuit, cnt: WorkCounters,
@@ -298,18 +314,6 @@ def _scan_outcome(circuit: SymmetricCircuit, cnt: WorkCounters,
     full = _vector_scan(circuit, {}, tuple(range(circuit.n_vars)), cnt)
     return _outcome(circuit, full, 1 << circuit.n_vars, 0, restriction,
                     params, cnt)
-
-
-def _branch_vars(restriction: Restriction, max_branch_bits: int
-                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The assigned and the free variables of the restriction, ascending,
-    under the guard on the number of assigned bits."""
-    assigned_vars = tuple(sorted(restriction.assigned))
-    if len(assigned_vars) > max_branch_bits:
-        raise ResourceGuardError(
-            f"2^{len(assigned_vars)} branches exceeds the "
-            f"2^{max_branch_bits} branch guard")
-    return assigned_vars, restriction.free_order
 
 
 def _branch_loop(circuit: SymmetricCircuit, assigned_vars: tuple[int, ...],
@@ -339,80 +343,85 @@ def _branch_loop(circuit: SymmetricCircuit, assigned_vars: tuple[int, ...],
     return None
 
 
-def _closed_form_branches(circuit: SymmetricCircuit,
-                          assigned_vars: tuple[int, ...],
-                          free_order: tuple[int, ...],
-                          cnt: WorkCounters) -> Optional[tuple[int, ...]]:
-    """First branch whose residual is satisfiable, when no gate has two or
-    more free inputs, decided for blocks of branches at once.
+def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
+              cnt: WorkCounters) -> Optional[tuple[int, ...]]:
+    """First satisfying assignment of a threshold circuit, found by
+    enumerating the variables outside the gate-independent set `eliminated`
+    and deciding the set itself in closed form.
 
-    Branch b sets assigned_vars[pos] to bit (bits - 1 - pos) of b.  Each
-    gate then is a constant or a literal of its one free input, so the
-    residual is one threshold: top constant T_b plus a weight w_b,i per free
-    variable.  It is satisfiable iff sum_i max(w_b,i, 0) >= T_b, and then
-    x_i = [w_b,i > 0] satisfies it.  The gate predicates may be of any kind;
-    the top predicate must be `ge`.  Returns the total assignment of the
-    first such branch; cnt.assignments grows by the branches examined.
+    The other variables are enumerated lexicographically, lowest index most
+    significant, in blocks of rows.  In each row every gate is a constant or
+    a function of its one eliminated input, so the top sum is a constant
+    plus a gain g_i * x_i per eliminated variable: the row is satisfiable
+    iff the constant plus the positive gains reaches the threshold, and then
+    x_i = [g_i > 0] satisfies it.  Returns the total assignment of the first
+    satisfiable row, or None; cnt.assignments grows by the rows examined.
+    A set in which some gate has two inputs is refused.
     """
+    require_threshold(circuit, "eliminate")
     check_accumulation(circuit)
-    bits = len(assigned_vars)
-    shift = {var: bits - 1 - pos for pos, var in enumerate(assigned_vars)}
-    # free-variable weights that no branch changes: the direct wires
-    fixed_w = dict.fromkeys(free_order, 0)
-    top_terms = []
-    for idx, w in circuit.direct_wires:
-        if idx in fixed_w:
-            fixed_w[idx] += w
+    n = circuit.n_vars
+    s_list = sorted(set(eliminated))
+    if s_list and not 0 <= s_list[0] <= s_list[-1] < n:
+        raise InputError("eliminated set names a variable outside the circuit")
+    s_row = {v: k for k, v in enumerate(s_list)}
+    enumerated = [v for v in range(n) if v not in s_row]
+    column = {v: k for k, v in enumerate(enumerated)}
+    bits = len(enumerated)
+    m = len(circuit.bottom)
+    top_w = np.array(circuit.top_gate_weights, dtype=np.int64)
+    # every gate sum lies strictly inside the guard, so clipping keeps s >= t
+    thresholds = np.array([min(max(g.pred.params[0], -ACCUMULATION_GUARD),
+                               ACCUMULATION_GUARD) for g in circuit.bottom],
+                          dtype=np.int64).reshape(m, 1)
+    # weights: gate j's on the enumerated variables in row j, the direct
+    # wires' in row m; flip[j], gain_w[k, j]: gate j's weight on eliminated
+    # variable k and the top weight that carries its flip into k's gain
+    weights = np.zeros((m + 1, bits), dtype=np.int64)
+    flip = np.zeros((m, 1), dtype=np.int64)
+    gain_w = np.zeros((len(s_list), m), dtype=np.int64)
+    direct = np.zeros((len(s_list), 1), dtype=np.int64)
+    for j, gate in enumerate(circuit.bottom):
+        if sum(i in s_row for i, _ in gate.inputs) > 1:
+            raise InputError(f"gate {j} has two or more inputs in the "
+                             "eliminated set")
+        for i, w in gate.inputs:
+            if i in s_row:
+                flip[j] = w
+                gain_w[s_row[i], j] = top_w[j]
+            else:
+                weights[j, column[i]] = w
+    for i, w in circuit.direct_wires:
+        if i in s_row:
+            direct[s_row[i]] = w
         else:
-            top_terms.append((shift[idx], w))
-    # per gate: its assigned terms, its free input (variable, weight) or
-    # None, its predicate and its top weight
-    gates = []
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        terms = [(shift[i], w) for i, w in gate.inputs if i in shift]
-        free_in = [(i, w) for i, w in gate.inputs if i in fixed_w]
-        gates.append((terms, free_in[0] if free_in else None,
-                      gate.pred, top_w))
+            weights[m, column[i]] = w
 
-    total = 1 << bits
-    block = 1 << min(_SCAN_CHUNK_BITS, bits)
-    for lo in range(0, total, block):
-        width = min(block, total - lo)
-        idx = np.arange(lo, lo + width, dtype=np.int64)
-
-        def linear(terms):
-            acc = np.zeros(width, dtype=np.int64)
-            for sh, w in terms:
-                acc += w * ((idx >> sh) & 1)
-            return acc
-
-        top = linear(top_terms)
-        varying: dict[int, np.ndarray] = {}
-        for terms, free_in, pred, top_w in gates:
-            base = linear(terms)
-            out0 = pred.holds_batch(base).astype(np.int64)
-            top += top_w * out0
-            if free_in is not None:
-                var, w = free_in
-                out1 = pred.holds_batch(base + w).astype(np.int64)
-                step = top_w * (out1 - out0)
-                varying[var] = varying[var] + step if var in varying else step
-        reach = top + sum(max(w, 0) for var, w in fixed_w.items()
-                          if var not in varying)
-        for var, w in varying.items():
-            reach += np.maximum(w + fixed_w[var], 0)
-        sat = circuit.top_pred.holds_batch(reach)
+    # a block's sums: a table over the low `low` bits of the row index, with
+    # (m + 1) * 2^low < 2^_BLOCK_ELEMENT_BITS entries, plus a constant
+    low = min(bits, max(0, _BLOCK_ELEMENT_BITS - (m + 1).bit_length()))
+    width = 1 << low
+    low_sums = np.zeros((m + 1, 1), dtype=np.int64)
+    for k in range(bits - 1, bits - low - 1, -1):
+        low_sums = np.hstack([low_sums, low_sums + weights[:, k:k + 1]])
+    high_shifts = np.arange(bits - low - 1, -1, -1, dtype=np.int64)
+    for block in range(1 << (bits - low)):
+        high = weights[:, :bits - low] @ ((block >> high_shifts) & 1)
+        sums = low_sums + high[:, None]
+        fired = sums[:m] >= thresholds
+        flipped = sums[:m] + flip >= thresholds
+        gain = gain_w @ (flipped.view(np.int8) - fired.view(np.int8)) + direct
+        top = sums[m] + top_w @ fired + np.maximum(gain, 0).sum(axis=0)
+        sat = top >= circuit.top_pred.params[0]
         if sat.any():
             hit = int(np.argmax(sat))
             cnt.assignments += hit + 1
-            b = lo + hit
-            values = [0] * circuit.n_vars
-            for var, sh in shift.items():
-                values[var] = (b >> sh) & 1
-            for var, w in fixed_w.items():
-                if var in varying:
-                    w += int(varying[var][hit])
-                values[var] = int(w > 0)
+            row = block * width + hit
+            values = [0] * n
+            for k, v in enumerate(enumerated):
+                values[v] = (row >> (bits - 1 - k)) & 1
+            for k, v in enumerate(s_list):
+                values[v] = int(gain[k, hit] > 0)
             return tuple(values)
         cnt.assignments += width
     return None
@@ -423,26 +432,18 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
           params: Optional[RestrictionParams] = None,
           p: Optional[Fraction] = None,
           force_restriction: bool = False,
-          fast_path_max_n: int = 20,
-          few_gates_budget: Optional[float] = None,
           max_branch_bits: int = MAX_BRANCH_BITS,
           counters: Optional[WorkCounters] = None) -> SolveOutcome:
     """Decide satisfiability of a depth-two threshold circuit, exactly; a
     circuit with a predicate other than `ge` is refused.
 
-    Small circuits are scanned outright; past fast_path_max_n variables the
-    restriction pipeline takes over.  params and p override the derived
-    restriction knobs, and few_gates_budget overrides the residual gate
-    budget (default 3*delta*|free|).
-
-    The restriction's exceptional-gate count m picks one route for every
-    branch.  With m = 0 all branches are decided in closed form and
-    cnt.assignments counts the branches examined.  With 0 < m <= budget each
-    branch guesses its residual's m gate outputs; cnt.assignments counts one
-    per branch and the split-and-list searches add their own work.  With
-    m > budget one scan of the cube, assigned variables most significant,
-    visits the branches in order; cnt.assignments counts the rows scanned
-    and fallback_branches the branches visited.  The returned witness, if
+    Every solve is one `eliminate` call.  By default the eliminated set S is
+    `greedy_independent_set` and nothing is drawn.  When params, p or
+    force_restriction ask for the paper's restriction, one restriction is
+    drawn (seed picks it; delta, params and p set its knobs) and S is its
+    free variables outside the exceptional gates.  The 2^(n - |S|) rows
+    outside S are enumerated, at most 2^max_branch_bits of them;
+    cnt.assignments counts the rows examined.  The returned witness, if
     any, is verified before return.
     """
     cnt = counters if counters is not None else WorkCounters()
@@ -450,38 +451,24 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     if n < 1:
         raise InputError("circuit must have at least one variable")
     require_threshold(circuit, "solve")
-    if n <= fast_path_max_n and not force_restriction:
-        return _scan_outcome(circuit, cnt, None, None)
-
-    rng = Random(seed if seed is not None else instance_seed(circuit))
-    if params is None:
-        params = restriction_params(circuit, delta)
-    if p is not None:
-        params = replace(params, p=Fraction(p))
-    restriction, exceptional = sample_restriction(circuit, params, rng)
-    assigned_vars, free_order = _branch_vars(restriction, max_branch_bits)
-    if not free_order:
-        # Degenerate restriction: every branch is a full assignment, which is
-        # exactly one chunked scan of the cube.
-        return _scan_outcome(circuit, cnt, restriction, params)
-
-    budget = few_gates_budget if few_gates_budget is not None \
-        else 3 * params.delta * len(free_order)
-    total = 1 << len(assigned_vars)
-    fallback_branches = 0
-    if exceptional > budget:
-        before = cnt.assignments
-        witness_values = _vector_scan(circuit, {}, assigned_vars + free_order,
-                                      cnt)
-        rows = cnt.assignments - before
-        fallback_branches = total if witness_values is None \
-            else ((rows - 1) >> len(free_order)) + 1
-    elif exceptional == 0:
-        witness_values = _closed_form_branches(circuit, assigned_vars,
-                                               free_order, cnt)
+    restriction = None
+    if params is None and p is None and not force_restriction:
+        eliminated = greedy_independent_set(circuit)
     else:
-        witness_values = _branch_loop(
-            circuit, assigned_vars, free_order,
-            lambda residual: sat_few_gates(residual, counters=cnt), cnt)
-    return _outcome(circuit, witness_values, total, fallback_branches,
-                    restriction, params, cnt)
+        rng = Random(seed if seed is not None else instance_seed(circuit))
+        if params is None:
+            params = restriction_params(circuit, delta)
+        if p is not None:
+            params = replace(params, p=Fraction(p))
+        restriction, _ = sample_restriction(circuit, params, rng)
+        # a gate outside the exceptional ones has at most one free input
+        crowded = {i for j in exceptional_gates(circuit, restriction.free)
+                   for i, _ in circuit.bottom[j].inputs}
+        eliminated = tuple(sorted(restriction.free - crowded))
+    bits = n - len(eliminated)
+    if bits > max_branch_bits:
+        raise ResourceGuardError(
+            f"2^{bits} enumerated rows exceeds the 2^{max_branch_bits} guard")
+    witness_values = eliminate(circuit, eliminated, cnt)
+    return _outcome(circuit, witness_values, 1 << bits, 0, restriction,
+                    params, cnt, eliminated)

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Iterator, Optional, Sequence
@@ -24,7 +25,7 @@ from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
 from .model import Assignment, SymmetricCircuit, evaluate
 from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _branch_loop,
-                         _branch_vars, _outcome, _scan_outcome, _vector_scan,
+                         _outcome, _scan_outcome, _vector_scan,
                          draw_restriction, instance_seed)
 from .splitlist import MAX_HALF_VARS
 
@@ -33,14 +34,16 @@ EXACT_SUM_MAX_VARS = 16
 DEFAULT_KAPPA = 64
 
 
-def candidate_values(coeffs: Sequence[tuple[int, int]],
+@lru_cache(maxsize=1 << 12)
+def candidate_values(coeffs: tuple[tuple[int, int], ...],
                      exact_max_vars: int = EXACT_SUM_MAX_VARS) -> tuple[int, ...]:
     """Values the weighted sum over Boolean variables can take (a superset).
 
     With few variables the exact subset sums are enumerated; otherwise the
     integer interval between the most negative and the most positive
     achievable sum is returned.  Either way the count is at most
-    min(2^l, 2W + 1) for l variables of weighted fan-in W.
+    min(2^l, 2W + 1) for l variables of weighted fan-in W.  Memoized, since
+    every branch of a restriction asks again for the same surviving gates.
     """
     lo = sum(min(w, 0) for _, w in coeffs)
     hi = sum(max(w, 0) for _, w in coeffs)
@@ -394,7 +397,11 @@ def solve_symmetric(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
 
     rng = Random(seed if seed is not None else instance_seed(circuit))
     restriction = draw_restriction(circuit, chosen, rng)
-    assigned_vars, free_order = _branch_vars(restriction, max_branch_bits)
+    assigned_vars = tuple(sorted(restriction.assigned))
+    if len(assigned_vars) > max_branch_bits:
+        raise ResourceGuardError(f"2^{len(assigned_vars)} branches exceeds "
+                                 f"the 2^{max_branch_bits} branch guard")
+    free_order = restriction.free_order
     if not free_order:
         return _scan_outcome(circuit, cnt, restriction, None)
 

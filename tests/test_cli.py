@@ -38,6 +38,9 @@ def test_solve_unsat_exit_code():
     res = run_cli("solve", "circuit", str(DATA / "tc_unsat.tc2"))
     assert res.returncode == 20
     assert res.stdout.strip() == "UNSAT"
+    # both variables are eliminated: one row examined
+    assert "assignments=1 " in res.stderr
+    assert res.stderr.split()[-1] == "eliminated=2"
 
 
 def test_solve_and_oracle_agree_on_corpus():

@@ -11,16 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.counters import WorkCounters
-from thrsat.errors import ResourceGuardError
+from thrsat.errors import InputError, ResourceGuardError
 from thrsat.model import (Predicate, ThresholdCircuit, ThresholdGate,
                           WireStats, evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_fixed_fanin_circuit, random_mixed_circuit)
-from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction,
+from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction, eliminate,
                                exceptional_gates, fanin_separation,
-                               ilp_for_guess, instance_seed,
-                               restriction_params, sample_restriction,
-                               sat_few_gates, solve)
+                               greedy_independent_set, ilp_for_guess,
+                               instance_seed, restriction_params,
+                               sample_restriction, sat_few_gates, solve)
 from thrsat.splitlist import verify
 
 
@@ -99,6 +99,21 @@ def test_sample_restriction_reports_count():
     assert exc == len(exceptional_gates(circuit, restriction.free))
 
 
+def test_sample_restriction_keeps_the_first_draw():
+    """A draw with many exceptional gates is kept as drawn, not redrawn in
+    favour of a smaller free set."""
+    circuit = random_mixed_circuit(24, 48, seed=9)
+    params = replace(restriction_params(circuit), p=Fraction(1, 2))
+    # the count above which draws used to be redrawn
+    cap = 6 * params.delta * params.p * circuit.n_vars
+    seed = next(s for s in range(100) if len(exceptional_gates(
+        circuit, draw_restriction(circuit, params.p, Random(s)).free)) > cap)
+    restriction, exc = sample_restriction(circuit, params, Random(seed))
+    first = draw_restriction(circuit, params.p, Random(seed))
+    assert restriction.free == first.free
+    assert exc == len(exceptional_gates(circuit, first.free)) > cap
+
+
 def test_ilp_for_guess_encodes_firing_pattern():
     circuit = random_mixed_circuit(6, 10, seed=4)
     m = len(circuit.bottom)
@@ -145,27 +160,158 @@ def test_instance_seed_is_stable():
     assert instance_seed(a) != instance_seed(random_mixed_circuit(10, 20, seed=6))
 
 
+def _outside_exceptional(circuit, free):
+    """The free variables in no gate with two or more free inputs, worked out
+    here from the definition."""
+    crowded = set()
+    for gate in circuit.bottom:
+        inputs = {i for i, _ in gate.inputs}
+        if len(inputs & free) >= 2:
+            crowded |= inputs
+    return tuple(sorted(set(free) - crowded))
+
+
+def _gate_independent(circuit, chosen):
+    return all(sum(i in chosen for i, _ in gate.inputs) <= 1
+               for gate in circuit.bottom)
+
+
 @given(st.integers(0, 5_000))
 @settings(max_examples=60, deadline=None)
 def test_solve_matches_brute_forced(seed):
     n = 8 + seed % 7
     circuit = random_mixed_circuit(n, n + seed % (2 * n), seed=seed,
                                    weight_bound=10)
-    outcome = solve(circuit, seed=seed, force_restriction=True)
+    cnt = WorkCounters()
+    outcome = solve(circuit, seed=seed, force_restriction=True, counters=cnt)
     ref = brute_circuit_sat(circuit)
     assert outcome.satisfiable == (ref is not None)
+    assert outcome.eliminated == _outside_exceptional(
+        circuit, outcome.restriction.free)
+    assert outcome.branches == 1 << (n - len(outcome.eliminated))
+    assert outcome.fallback_branches == 0
     if outcome.witness is not None:
         assert evaluate(circuit, outcome.witness)
-    free = len(outcome.restriction.free) if outcome.restriction else 0
-    assert outcome.branches == 1 << (n - free)
+        assert cnt.assignments <= outcome.branches
+    else:
+        assert cnt.assignments == outcome.branches
 
 
 def test_solve_fast_path_small():
+    """A small circuit takes the default route like any other: no draw, the
+    greedy independent set eliminated, every other variable enumerated."""
     circuit = random_mixed_circuit(6, 9, seed=2)
-    outcome = solve(circuit)
-    assert outcome.restriction is None
-    assert outcome.branches == 1 << 6
+    cnt = WorkCounters()
+    outcome = solve(circuit, counters=cnt)
+    assert outcome.restriction is None and outcome.params is None
+    assert outcome.eliminated == greedy_independent_set(circuit)
+    assert outcome.eliminated and _gate_independent(circuit,
+                                                    set(outcome.eliminated))
+    assert outcome.branches == 1 << (6 - len(outcome.eliminated))
     assert outcome.satisfiable == (brute_circuit_sat(circuit) is not None)
+    if not outcome.satisfiable:
+        assert cnt.assignments == outcome.branches
+
+
+def test_greedy_independent_set_takes_fewest_neighbours_first():
+    # gate-neighbours: x0 {1, 2, 3}, x1 {0, 2}, x2 {0, 1}, x3 {0}, x4 none.
+    # x4 goes first, then x3 retires x0, and x1 (lower index than x2, both
+    # with one live neighbour left) retires x2.  Lowest index first alone
+    # would take x0 and retire x1, x2 and x3.
+    gates = (ThresholdGate(((0, 1), (1, 1), (2, 1)), 2),
+             ThresholdGate(((0, 1), (3, -1)), 0),
+             ThresholdGate(((4, 1),), 1))
+    circuit = ThresholdCircuit(5, gates, (1, 1, 1), ((4, 2),), 2)
+    assert greedy_independent_set(circuit) == (1, 3, 4)
+    for seed in range(30):
+        circuit = random_mixed_circuit(20, 20 + seed, seed=seed)
+        chosen = set(greedy_independent_set(circuit))
+        assert _gate_independent(circuit, chosen)
+        # maximal: every variable left out shares a gate with a chosen one
+        assert all(not _gate_independent(circuit, chosen | {v})
+                   for v in range(20) if v not in chosen)
+
+
+def _random_independent_set(circuit, rng):
+    chosen = set()
+    order = list(range(circuit.n_vars))
+    rng.shuffle(order)
+    for v in order:
+        if rng.random() < 0.8 and _gate_independent(circuit, chosen | {v}):
+            chosen.add(v)
+    return chosen
+
+
+@pytest.mark.parametrize("source", ["greedy", "draw", "random"])
+def test_eliminate_matches_product_oracle(source):
+    """eliminate against plain enumeration over evaluate, for every `ge` top
+    threshold from one below the smallest top sum to one past the largest,
+    with direct wires and top weights of both signs.  A witness must lie in
+    the first row, in enumeration order, that holds one, and the rows
+    counted must end there.  Every third circuit has 3n wires, so that its
+    rows span several blocks of the kernel."""
+    rng = Random(source)
+    for seed in range(27):
+        n = 6 + seed % 9
+        wires = 3 * n if seed % 3 == 2 else n + seed % n
+        base = random_mixed_circuit(n, wires, seed=seed, weight_bound=10,
+                                    direct_count=n // 2)
+        if source == "greedy":
+            chosen = set(greedy_independent_set(base))
+        elif source == "draw":
+            free = draw_restriction(base, Fraction(1, 2), Random(seed)).free
+            chosen = set(_outside_exceptional(base, free))
+        else:
+            chosen = _random_independent_set(base, rng)
+        rows = 1 << (n - len(chosen))
+        sums = _top_sums(base)
+        enumerated = [v for v in range(n) if v not in chosen]
+
+        def row_of(values):
+            return sum(values[v] << (len(enumerated) - 1 - k)
+                       for k, v in enumerate(enumerated))
+
+        # the largest top sum in each row
+        row_peak = {}
+        for x, total in zip(itertools.product((0, 1), repeat=n), sums):
+            row = row_of(x)
+            row_peak[row] = max(row_peak.get(row, total), total)
+        for top in range(min(sums) - 1, max(sums) + 2):
+            circuit = replace(base, top_pred=Predicate.ge(top))
+            cnt = WorkCounters()
+            found = eliminate(circuit, chosen, cnt)
+            sat = _product_oracle(circuit)
+            assert (found is not None) == sat, (seed, top)
+            if sat:
+                assert evaluate(circuit, found)
+                first = min(r for r, peak in row_peak.items() if peak >= top)
+                assert row_of(found) == first
+                assert cnt.assignments == first + 1
+            else:
+                assert cnt.assignments == rows
+
+
+def test_eliminate_refuses_dependent_sets():
+    circuit = random_mixed_circuit(10, 16, seed=4, direct_count=3)
+    gate = next(g for g in circuit.bottom if len(g.inputs) >= 2)
+    pair = {gate.inputs[0][0], gate.inputs[1][0]}
+    with pytest.raises(InputError):
+        eliminate(circuit, pair, WorkCounters())
+    with pytest.raises(InputError):
+        eliminate(circuit, {10}, WorkCounters())
+    symmetric = replace(circuit, top_pred=Predicate.eq(1))
+    with pytest.raises(InputError):
+        eliminate(symmetric, (), WorkCounters())
+
+
+def test_eliminate_thresholds_beyond_int64():
+    gates = (ThresholdGate(((0, 1), (1, 1)), 1 << 70),
+             ThresholdGate(((1, 1), (2, 1)), -(1 << 70)))
+    for top, sat in ((1, True), (2, False)):
+        circuit = ThresholdCircuit(3, gates, (1, 1), (), top)
+        for chosen in ((), (0, 2), (1,)):
+            found = eliminate(circuit, chosen, WorkCounters())
+            assert (found is not None) == sat
 
 
 def test_solve_explicit_p_override():
@@ -193,63 +339,59 @@ def _product_oracle(circuit):
                for values in itertools.product((0, 1), repeat=circuit.n_vars))
 
 
-def _peak_top_sum(circuit):
-    """Largest top-gate sum over the cube, by plain enumeration."""
-    peak = None
+def _top_sums(circuit):
+    """Every point's top-gate sum, by plain enumeration."""
+    sums = []
     for values in itertools.product((0, 1), repeat=circuit.n_vars):
         total = sum(top_w for gate, top_w in zip(circuit.bottom,
                                                  circuit.top_gate_weights)
                     if gate.pred.holds(sum(w * values[i]
                                            for i, w in gate.inputs)))
         total += sum(w * values[i] for i, w in circuit.direct_wires)
-        peak = total if peak is None else max(peak, total)
-    return peak
+        sums.append(total)
+    return sums
 
 
-@pytest.mark.parametrize("p, budget, routes", [
-    (Fraction(1, 4), None, {"closed", "scan"}),
-    (Fraction(1, 2), None, {"closed", "scan"}),
-    (Fraction(1), None, {"scan"}),
-    (Fraction(1, 2), 4, {"closed", "guess"}),
+@pytest.mark.parametrize("p, sizes", [
+    (Fraction(1, 4), {"empty", "nonempty"}),
+    (Fraction(1, 2), {"empty", "nonempty"}),
+    (Fraction(1), {"empty", "nonempty"}),
+    (Fraction(1, 3), {"empty", "nonempty"}),
 ])
-def test_forced_restriction_routes_match_product_oracle(p, budget, routes):
-    """Each circuit is solved with its top threshold at the largest top sum
-    (few witnesses) and one above it (UNSAT); every route the restriction
-    can pick must be taken, the scan route on an UNSAT instance."""
+def test_forced_restriction_routes_match_product_oracle(p, sizes):
+    """Each circuit is solved through the paper's draw with its top
+    threshold at the largest top sum (few witnesses) and one above it
+    (UNSAT).  The eliminated set must be exactly the draw's free variables
+    outside the exceptional gates, an UNSAT solve must examine every one of
+    its 2^(n - |S|) rows, and both an empty set (the cube scan) and a
+    nonempty one must occur."""
     taken = set()
     for seed in range(16):
         n = 8 + seed % 4
         base = random_mixed_circuit(n, n + seed % n, seed=seed,
                                     weight_bound=10, direct_count=n // 2)
-        peak = _peak_top_sum(base)
+        peak = max(_top_sums(base))
         for top in (peak, peak + 1):
             circuit = replace(base, top_pred=Predicate.ge(top))
             cnt = WorkCounters()
             outcome = solve(circuit, seed=seed, p=p, force_restriction=True,
-                            few_gates_budget=budget, counters=cnt)
+                            counters=cnt)
             sat = _product_oracle(circuit)
             assert sat == (top == peak)
             assert outcome.satisfiable == sat, (seed, top)
-            if outcome.witness is not None:
+            eliminated = _outside_exceptional(circuit,
+                                              outcome.restriction.free)
+            assert outcome.eliminated == eliminated
+            rows = 1 << (n - len(eliminated))
+            assert outcome.branches == rows
+            assert outcome.fallback_branches == 0 and cnt.guesses == 0
+            if sat:
                 assert evaluate(circuit, outcome.witness)
-            free = outcome.restriction.free
-            if not free:
-                continue
-            m = len(exceptional_gates(circuit, free))
-            limit = budget if budget is not None \
-                else 3 * outcome.params.delta * len(free)
-            if m == 0:
-                assert outcome.fallback_branches == 0 and cnt.guesses == 0
-                taken.add("closed")
-            elif m <= limit:
-                assert cnt.guesses > 0 and outcome.fallback_branches == 0
-                taken.add("guess")
+                assert cnt.assignments <= rows
             else:
-                assert outcome.fallback_branches > 0
-                if not sat:
-                    assert outcome.fallback_branches == outcome.branches
-                    taken.add("scan")
-    assert taken == routes
+                assert cnt.assignments == rows
+            taken.add("nonempty" if eliminated else "empty")
+    assert taken == sizes
 
 
 def test_solve_branch_guard():
