@@ -108,7 +108,8 @@ def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
 def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
                     weight_bound: int = 3,
                     force_restriction: bool = False) -> list[BenchRecord]:
-    """Symmetric-circuit suite through the value-guessing solver."""
+    """Symmetric-circuit suite through solve_symmetric, whose one route is
+    the elimination kernel the threshold solver uses."""
     return _bench_circuit_solver(
         count, n, c, seed, force_restriction, "sc", "solve_symmetric",
         solve_symmetric, kind="symmetric_circuit", weight_bound=weight_bound)

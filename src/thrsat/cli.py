@@ -129,8 +129,8 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="restriction seed (default: derived from the instance)")
     sub.add_argument("--force-restriction", action="store_true",
-                     help="draw the paper's restriction (circuits: eliminate "
-                          "its free set, not the greedy set)")
+                     help="draw the paper's restriction and eliminate its "
+                          "free set, not the greedy set")
     sub.add_argument("--max-assigned", type=int, default=None,
                      help="enumerated-bit guard (for ilp: at most 2^N half assignments)")
 

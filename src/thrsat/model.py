@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,16 +25,6 @@ from .errors import InputError
 # on backends without big integers.
 MAX_ABS_WEIGHT = 1 << 31
 ACCUMULATION_GUARD = 1 << 62
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls from fields already known to
-    be valid, without running its validation; for objects built in hot
-    loops from parts of a validated one."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 class PredKind(str, Enum):
@@ -98,13 +88,27 @@ class Predicate:
         return s in self.params
 
     def holds_batch(self, sums: np.ndarray) -> np.ndarray:
-        if self.kind is PredKind.GE:
-            return sums >= self.params[0]
-        if self.kind is PredKind.EQ:
-            return sums == self.params[0]
-        if self.kind is PredKind.MOD:
-            return sums % self.params[0] == self.params[1]
-        return np.isin(sums, np.asarray(self.params, dtype=np.int64))
+        """holds on every entry of an int64 array whose entries lie strictly
+        inside +-ACCUMULATION_GUARD, as every guarded sum does."""
+        kind, params = self.int64_form()
+        return holds_columns(kind, [np.int64(v) for v in params], sums)
+
+    def int64_form(self) -> tuple[PredKind, tuple[int, ...]]:
+        """A kind and parameters, all inside int64, that decide every sum
+        strictly inside +-ACCUMULATION_GUARD as this predicate does.  A
+        threshold or value no such sum reaches is clipped to the guard, a
+        member no such sum reaches is dropped, and a modulus m beyond the
+        guard leaves only the sums r - m and r, as a membership test."""
+        g = ACCUMULATION_GUARD
+        kind, params = self.kind, self.params
+        if kind is PredKind.GE or kind is PredKind.EQ:
+            return kind, (min(max(params[0], -g), g),)
+        if kind is PredKind.MEMBER:
+            return kind, tuple(v for v in params if -g < v < g)
+        m, r = params
+        if m <= g:
+            return kind, params
+        return PredKind.MEMBER, tuple(v for v in (r - m, r) if -g < v < g)
 
     def shifted(self, base: int) -> "Predicate":
         """The predicate q with q(s) == holds(s + base), for folding constant
@@ -113,9 +117,29 @@ class Predicate:
             m, r = self.params
             params = (m, (r - base) % m)
         else:
-            # subtracting a constant keeps a membership list sorted and distinct
             params = tuple(v - base for v in self.params)
-        return _trusted(Predicate, kind=self.kind, params=params)
+        return Predicate(self.kind, params)
+
+
+def holds_columns(kind: PredKind, columns: Sequence, sums: np.ndarray
+                  ) -> np.ndarray:
+    """Predicates of one kind on an int64 array, by one vectorized
+    comparison (one per member for a membership test).
+
+    columns hold the parameters of Predicate.int64_form, each an int64
+    scalar or an array broadcast against sums, so that one call tests a
+    whole group of gates with one row of sums per gate.
+    """
+    if kind is PredKind.GE:
+        return sums >= columns[0]
+    if kind is PredKind.EQ:
+        return sums == columns[0]
+    if kind is PredKind.MOD:
+        return sums % columns[0] == columns[1]
+    out = np.zeros(np.shape(sums), dtype=bool)
+    for member in columns:
+        out |= sums == member
+    return out
 
 
 @dataclass(frozen=True)
@@ -327,87 +351,53 @@ def evaluate(circuit: SymmetricCircuit, assignment: AssignmentLike) -> bool:
     return circuit.top_pred.holds(total)
 
 
-def branch_folder(circuit: SymmetricCircuit, assigned_vars: Sequence[int],
-                  free_order: Sequence[int]
-                  ) -> Callable[[int], SymmetricCircuit]:
-    """Fold function for the branches of one restriction.
-
-    assigned_vars and free_order partition the variables, free_order
-    ascending.  The returned fold(b) takes the branch that sets
-    assigned_vars[pos] to bit (len(assigned_vars) - 1 - pos) of b and
-    returns the equivalent residual circuit over the free variables,
-    re-indexed in free_order.
+def simplify(circuit: SymmetricCircuit,
+             restriction: Restriction) -> SymmetricCircuit:
+    """Fold a restriction into the circuit, producing an equivalent circuit
+    over the free variables only (re-indexed in ascending order).
 
     Gates left with no free inputs become constants absorbed into the top
     predicate.  Gates left with exactly one free input are equivalent to a
     constant, the literal x, or the literal 1-x, because a Boolean input
     only produces two sums; all three fold into the top predicate and the
     direct wires.  Gates with two or more free inputs are kept with their
-    predicate shifted by the assigned contribution.  Which inputs are
-    assigned is worked out once here, not per branch.
+    predicate shifted by the assigned contribution.
     """
-    bits = len(assigned_vars)
-    shift = {var: bits - 1 - pos for pos, var in enumerate(assigned_vars)}
-    new_index = {var: k for k, var in enumerate(free_order)}
-    gates = []
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        fixed = tuple((shift[i], w) for i, w in gate.inputs if i in shift)
-        free = tuple((new_index[i], w) for i, w in gate.inputs if i in new_index)
-        gates.append((gate.pred, fixed, free, top_w))
-    direct_fixed = tuple((shift[i], w) for i, w in circuit.direct_wires
-                         if i in shift)
-    direct_free = {new_index[i]: w for i, w in circuit.direct_wires
-                   if i in new_index}
-
-    def fold(b: int) -> SymmetricCircuit:
-        kept_gates: list[SymmetricGate] = []
-        kept_weights: list[int] = []
-        direct = dict(direct_free)
-        top_constant = 0
-        for sh, w in direct_fixed:
-            if b >> sh & 1:
-                top_constant += w
-        for pred, fixed, free, top_w in gates:
-            base = 0
-            for sh, w in fixed:
-                if b >> sh & 1:
-                    base += w
-            if not free:
-                if pred.holds(base):
-                    top_constant += top_w
-            elif len(free) == 1:
-                nix, w = free[0]
-                out0 = pred.holds(base)
-                out1 = pred.holds(base + w)
-                if out0:
-                    top_constant += top_w
-                if out0 != out1:     # the gate is x (out1) or 1 - x (out0)
-                    direct[nix] = direct.get(nix, 0) + (top_w if out1 else -top_w)
-            else:
-                kept_gates.append(_trusted(SymmetricGate, inputs=free,
-                                           pred=pred.shifted(base)))
-                kept_weights.append(top_w)
-        return _trusted(
-            SymmetricCircuit, n_vars=len(new_index), bottom=tuple(kept_gates),
-            top_gate_weights=tuple(kept_weights),
-            direct_wires=tuple((i, w) for i, w in sorted(direct.items()) if w),
-            top_pred=circuit.top_pred.shifted(top_constant),
-            declared_density=None)
-
-    return fold
-
-
-def simplify(circuit: SymmetricCircuit,
-             restriction: Restriction) -> SymmetricCircuit:
-    """Fold a restriction into the circuit, producing an equivalent circuit
-    over the free variables only (re-indexed in ascending order)."""
     if restriction.n_vars != circuit.n_vars:
         raise InputError("restriction size does not match the circuit")
-    assigned_vars = sorted(restriction.assigned)
-    b = 0
-    for var in assigned_vars:
-        b = b << 1 | restriction.assigned[var]
-    return branch_folder(circuit, assigned_vars, restriction.free_order)(b)
+    assigned = restriction.assigned
+    new_index = {var: k for k, var in enumerate(restriction.free_order)}
+    kept_gates: list[SymmetricGate] = []
+    kept_weights: list[int] = []
+    direct: dict[int, int] = {}
+    top_constant = 0
+    for i, w in circuit.direct_wires:
+        if i in new_index:
+            direct[new_index[i]] = w
+        else:
+            top_constant += w * assigned[i]
+    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
+        base = sum(w * assigned[i] for i, w in gate.inputs if i in assigned)
+        free = tuple((new_index[i], w) for i, w in gate.inputs
+                     if i in new_index)
+        if not free:
+            if gate.pred.holds(base):
+                top_constant += top_w
+        elif len(free) == 1:
+            nix, w = free[0]
+            out0 = gate.pred.holds(base)
+            out1 = gate.pred.holds(base + w)
+            if out0:
+                top_constant += top_w
+            if out0 != out1:     # the gate is x (out1) or 1 - x (out0)
+                direct[nix] = direct.get(nix, 0) + (top_w if out1 else -top_w)
+        else:
+            kept_gates.append(SymmetricGate(free, gate.pred.shifted(base)))
+            kept_weights.append(top_w)
+    return SymmetricCircuit(
+        len(new_index), kept_gates, kept_weights,
+        tuple((i, w) for i, w in sorted(direct.items()) if w),
+        circuit.top_pred.shifted(top_constant))
 
 
 def wire_stats(circuit: SymmetricCircuit) -> WireStats:

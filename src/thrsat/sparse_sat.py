@@ -1,19 +1,20 @@
-"""Satisfiability of sparse depth-two threshold circuits, and the parts of
-the restriction pipeline that both solvers share.
+"""The elimination kernel that decides every circuit of the family, the
+threshold solver, and the parts of the restriction pipeline that both
+solvers share.
 
-Every threshold solve is one `eliminate` call.  It enumerates the variables
-outside a gate-independent set S, one in which no bottom gate has two
-inputs, in numpy blocks, and decides S in closed form: with the other
-variables fixed, the top sum is a constant plus one term per variable of S.
-By default S is a greedy independent set, chosen without randomness.  When
+Every solve, threshold or symmetric, is one `eliminate` call.  It
+enumerates the variables outside a gate-independent set S, one in which no
+bottom gate has two inputs, in numpy blocks, and decides S in closed form:
+with the other variables fixed, every gate depends on at most one variable
+of S, so the top sum is a constant plus one term per variable of S.  By
+default S is a greedy independent set, chosen without randomness.  When
 the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
 more free inputs); an empty S makes the kernel a cube scan.
 
-The symmetric-gate solver uses the cube scan, the branch driver and the
-witness check defined here.  Gate guessing with split-and-list
-(`sat_few_gates`) stays as library API for circuits with few gates.  Every
-witness is checked before it is returned.
+Gate guessing with split-and-list (`sat_few_gates`) stays as library API
+for circuits with few gates.  Every witness is checked before it is
+returned.
 """
 from __future__ import annotations
 
@@ -29,17 +30,17 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (ACCUMULATION_GUARD, Assignment, Restriction,
-                    SymmetricCircuit, WireStats, branch_folder,
-                    check_accumulation, evaluate, evaluate_batch,
+from .model import (ACCUMULATION_GUARD, Assignment, PredKind, Predicate,
+                    Restriction, SymmetricCircuit, WireStats,
+                    check_accumulation, evaluate, holds_columns,
                     require_threshold, wire_stats)
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_GUESS_GATES = 60
 MAX_BRANCH_BITS = 30
-_SCAN_CHUNK_BITS = 14
 _BLOCK_ELEMENT_BITS = 14
+_KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ def draw_restriction(circuit: SymmetricCircuit, p: Fraction,
                      rng: Random) -> Restriction:
     """One unbiased draw: each variable stays free with probability p.
 
-    Assigned slots are filled with 0; the solver overwrites them branch by
-    branch, so only the free set matters here.
+    Assigned slots are filled with 0: only the free set matters, since the
+    solvers enumerate every assignment outside the set they eliminate.
     """
     free = frozenset(i for i in range(circuit.n_vars) if rng.random() < p)
     assigned = {i: 0 for i in range(circuit.n_vars) if i not in free}
@@ -237,143 +238,136 @@ def sat_few_gates(circuit: SymmetricCircuit, *,
     return None
 
 
-def _vector_scan(circuit: SymmetricCircuit, fixed: dict[int, int],
-                 scan_vars: tuple[int, ...], cnt: WorkCounters
-                 ) -> Optional[tuple[int, ...]]:
-    """Scan all assignments to scan_vars (fixed vars held constant) in
-    numpy chunks, stopping at the first satisfying row.
-
-    Rows are visited in lexicographic order of the scan variables, so the
-    returned assignment is the lexicographically first one.  cnt.assignments
-    grows by exactly the number of rows inspected.
-    """
-    n = circuit.n_vars
-    s = len(scan_vars)
-    total = 1 << s
-    chunk = 1 << min(_SCAN_CHUNK_BITS, s)
-    template = np.zeros(n, dtype=np.uint8)
-    for i, v in fixed.items():
-        template[i] = v
-    for base in range(0, total, chunk):
-        width = min(chunk, total - base)
-        idx = np.arange(base, base + width, dtype=np.uint64)
-        block = np.broadcast_to(template, (width, n)).copy()
-        for pos, var in enumerate(scan_vars):
-            block[:, var] = ((idx >> np.uint64(s - 1 - pos)) & np.uint64(1)).astype(np.uint8)
-        verdicts = evaluate_batch(circuit, block)
-        if verdicts.any():
-            hit = int(np.argmax(verdicts))
-            cnt.assignments += hit + 1
-            return tuple(int(v) for v in block[hit])
-        cnt.assignments += width
-    return None
-
-
 @dataclass
 class SolveOutcome:
-    """Result of one solver run.
+    """Result of one solver run, threshold or symmetric.
 
-    branches is the size of the enumerated space: 2^(n - |eliminated|) rows
-    for the threshold solver, whose counters.assignments counts the rows
-    examined, and 2^(n - |free|) branches for the symmetric solver.
-    fallback_branches counts the symmetric solver's branches whose residual
-    had too many value tuples to guess, and is 0 for the threshold solver.
-    restriction and params are the drawn restriction and its knobs, None
-    when nothing was drawn.  eliminated is the set S the threshold solver
-    decided in closed form, ascending; it is empty for the symmetric solver.
+    eliminated is the set S that `eliminate` decided in closed form,
+    ascending, and branches = 2^(n - |S|) the rows enumerated outside it;
+    counters.assignments counts the rows examined, all of them when the
+    circuit is unsatisfiable.  restriction is the drawn restriction, None
+    when S is the greedy set; params holds the threshold solver's
+    restriction knobs, None when nothing was drawn and for the symmetric
+    solver, which picks only p.
     """
 
     satisfiable: bool
     witness: Optional[Assignment]
     branches: int
-    fallback_branches: int
     restriction: Optional[Restriction]
     params: Optional[RestrictionParams]
     counters: WorkCounters = field(default_factory=WorkCounters)
     eliminated: tuple[int, ...] = ()
 
 
-def _outcome(circuit: SymmetricCircuit,
-             witness_values: Optional[Sequence[int]], branches: int,
-             fallback_branches: int, restriction: Optional[Restriction],
-             params: Optional[RestrictionParams], cnt: WorkCounters,
-             eliminated: tuple[int, ...] = ()) -> SolveOutcome:
-    """The solve's result, after checking its witness on the circuit."""
-    witness = Assignment(witness_values) if witness_values is not None else None
-    if witness is not None:
-        assert evaluate(circuit, witness), "solver produced a bad witness"
-    return SolveOutcome(witness is not None, witness, branches,
-                        fallback_branches, restriction, params, cnt,
-                        eliminated)
+def gain_bounds(circuit: SymmetricCircuit) -> list[int]:
+    """Per variable, its absolute direct weight plus the absolute top weight
+    of every gate that reads it: with the other variables fixed, flipping it
+    moves the top sum by at most this much."""
+    bound = [0] * circuit.n_vars
+    for i, w in circuit.direct_wires:
+        bound[i] += abs(w)
+    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
+        for i, _ in gate.inputs:
+            bound[i] += abs(top_w)
+    return bound
 
 
-def _scan_outcome(circuit: SymmetricCircuit, cnt: WorkCounters,
-                  restriction: Optional[Restriction],
-                  params: Optional[RestrictionParams]) -> SolveOutcome:
-    """Decide the circuit with one scan of its whole cube."""
-    full = _vector_scan(circuit, {}, tuple(range(circuit.n_vars)), cnt)
-    return _outcome(circuit, full, 1 << circuit.n_vars, 0, restriction,
-                    params, cnt)
+def _gate_test(preds: Sequence[Predicate]
+               ) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
+    """The gates grouped by the kind of their Predicate.int64_form, as an
+    order of gate indices, and test(sums): row k of the (len(preds), rows)
+    array sums under the predicate of gate order[k].  Each group takes one
+    vectorized comparison, with its parameters as (group size, 1) columns,
+    a membership list padded with the guard, which no sum reaches."""
+    runs: dict[PredKind, list[tuple[int, tuple[int, ...]]]] = {}
+    for j, pred in enumerate(preds):
+        kind, params = pred.int64_form()
+        runs.setdefault(kind, []).append((j, params))
+    order: list[int] = []
+    groups = []
+    for kind in sorted(runs, key=_KIND_RANK.__getitem__):
+        indices, params = zip(*runs[kind])
+        width = max(map(len, params))
+        table = np.array([row + (ACCUMULATION_GUARD,) * (width - len(row))
+                          for row in params],
+                         dtype=np.int64).reshape(len(params), width)
+        groups.append((len(order), len(order) + len(params), kind,
+                       [table[:, k:k + 1] for k in range(width)]))
+        order += indices
+    if not groups:
+        return order, lambda sums: np.zeros(sums.shape, dtype=bool)
+    if len(groups) == 1:
+        _, _, kind, columns = groups[0]
+        return order, lambda sums: holds_columns(kind, columns, sums)
+    return order, lambda sums: np.concatenate(
+        [holds_columns(kind, columns, sums[a:b])
+         for a, b, kind, columns in groups])
 
 
-def _branch_loop(circuit: SymmetricCircuit, assigned_vars: tuple[int, ...],
-                 free_order: tuple[int, ...],
-                 decide: Callable[[SymmetricCircuit], Optional[Sequence[int]]],
-                 cnt: WorkCounters) -> Optional[tuple[int, ...]]:
-    """First branch whose residual decide finds satisfiable.
-
-    Branch b sets assigned_vars[pos] to bit (bits - 1 - pos) of b; the
-    branches are visited in order, each folded into its residual over
-    free_order and handed to decide, which returns a satisfying assignment
-    of the residual or None.  Returns the total assignment of the first
-    satisfiable branch; cnt.assignments grows by one per branch visited.
-    """
-    fold = branch_folder(circuit, assigned_vars, free_order)
-    bits = len(assigned_vars)
-    for b in range(1 << bits):
-        cnt.assignments += 1
-        found = decide(fold(b))
-        if found is not None:
-            values = [0] * circuit.n_vars
-            for pos, var in enumerate(assigned_vars):
-                values[var] = b >> (bits - 1 - pos) & 1
-            for var, v in zip(free_order, found):
-                values[var] = v
-            return tuple(values)
-    return None
+def _steps_to(steps: Sequence[int], target: int) -> list[bool]:
+    """Which of the nonnegative steps a subset summing to target takes; the
+    target must be reachable.  Backtracks through the prefix reach sets."""
+    prefix = [np.zeros(target + 1, dtype=bool)]
+    prefix[0][0] = True
+    for a in steps:
+        reach = prefix[-1].copy()
+        if a <= target:
+            reach[a:] |= prefix[-1][:target + 1 - a]
+        prefix.append(reach)
+    taken = []
+    for k in range(len(steps) - 1, -1, -1):
+        took = not prefix[k][target]
+        target -= steps[k] if took else 0
+        taken.append(took)
+    return taken[::-1]
 
 
 def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
               cnt: WorkCounters) -> Optional[tuple[int, ...]]:
-    """First satisfying assignment of a threshold circuit, found by
-    enumerating the variables outside the gate-independent set `eliminated`
-    and deciding the set itself in closed form.
+    """First satisfying assignment of a circuit, found by enumerating the
+    variables outside the gate-independent set `eliminated` and deciding
+    the set itself in closed form.
 
     The other variables are enumerated lexicographically, lowest index most
     significant, in blocks of rows.  In each row every gate is a constant or
-    a function of its one eliminated input, so the top sum is a constant
-    plus a gain g_i * x_i per eliminated variable: the row is satisfiable
-    iff the constant plus the positive gains reaches the threshold, and then
-    x_i = [g_i > 0] satisfies it.  Returns the total assignment of the first
-    satisfiable row, or None; cnt.assignments grows by the rows examined.
-    A set in which some gate has two inputs is refused.
+    a function of its one eliminated input, whatever its predicate, so the
+    top sum is a constant plus a gain g_i * x_i per eliminated variable.  A
+    `ge` top holds somewhere in the row iff the constant plus the positive
+    gains reaches its threshold, and then x_i = [g_i > 0] satisfies it.
+    Any other top is tested on every sum the row reaches: a bitset of
+    offsets above the row's least sum, spread over [0, W] for the set's
+    summed gain_bounds W, grows by one shift-or per eliminated variable.
+    Returns the total assignment of the first satisfiable row, or None;
+    cnt.assignments grows by the rows examined.  A set in which some gate
+    has two inputs is refused, and so is one whose W, under a top other
+    than `ge`, reaches 2^_BLOCK_ELEMENT_BITS.
     """
-    require_threshold(circuit, "eliminate")
     check_accumulation(circuit)
     n = circuit.n_vars
     s_list = sorted(set(eliminated))
     if s_list and not 0 <= s_list[0] <= s_list[-1] < n:
         raise InputError("eliminated set names a variable outside the circuit")
+    top_kind, top_params = circuit.top_pred.int64_form()
+    top_columns = [np.int64(v) for v in top_params]
+    top_ge = top_kind is PredKind.GE
+    spread = 0
+    if not top_ge:
+        bound = gain_bounds(circuit)
+        spread = sum(bound[v] for v in s_list)
+    if spread >= 1 << _BLOCK_ELEMENT_BITS:
+        raise ResourceGuardError(
+            f"top sums spread over {spread} values in a row, past the "
+            f"2^{_BLOCK_ELEMENT_BITS} guard")
     s_row = {v: k for k, v in enumerate(s_list)}
     enumerated = [v for v in range(n) if v not in s_row]
     column = {v: k for k, v in enumerate(enumerated)}
     bits = len(enumerated)
     m = len(circuit.bottom)
-    top_w = np.array(circuit.top_gate_weights, dtype=np.int64)
-    # every gate sum lies strictly inside the guard, so clipping keeps s >= t
-    thresholds = np.array([min(max(g.pred.params[0], -ACCUMULATION_GUARD),
-                               ACCUMULATION_GUARD) for g in circuit.bottom],
-                          dtype=np.int64).reshape(m, 1)
+    # the top sum does not depend on the order of the gates
+    order, fires = _gate_test([g.pred for g in circuit.bottom])
+    top_w = np.array([circuit.top_gate_weights[j] for j in order],
+                     dtype=np.int64)
     # weights: gate j's on the enumerated variables in row j, the direct
     # wires' in row m; flip[j], gain_w[k, j]: gate j's weight on eliminated
     # variable k and the top weight that carries its flip into k's gain
@@ -381,9 +375,9 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     flip = np.zeros((m, 1), dtype=np.int64)
     gain_w = np.zeros((len(s_list), m), dtype=np.int64)
     direct = np.zeros((len(s_list), 1), dtype=np.int64)
-    for j, gate in enumerate(circuit.bottom):
+    for j, gate in enumerate(circuit.bottom[g] for g in order):
         if sum(i in s_row for i, _ in gate.inputs) > 1:
-            raise InputError(f"gate {j} has two or more inputs in the "
+            raise InputError(f"gate {order[j]} has two or more inputs in the "
                              "eliminated set")
         for i, w in gate.inputs:
             if i in s_row:
@@ -398,21 +392,38 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             weights[m, column[i]] = w
 
     # a block's sums: a table over the low `low` bits of the row index, with
-    # (m + 1) * 2^low < 2^_BLOCK_ELEMENT_BITS entries, plus a constant
-    low = min(bits, max(0, _BLOCK_ELEMENT_BITS - (m + 1).bit_length()))
+    # max(m + 1, W + 1) * 2^low < 2^_BLOCK_ELEMENT_BITS entries, plus a
+    # constant
+    low = min(bits, max(0, _BLOCK_ELEMENT_BITS
+                        - max(m + 1, spread + 1).bit_length()))
     width = 1 << low
     low_sums = np.zeros((m + 1, 1), dtype=np.int64)
     for k in range(bits - 1, bits - low - 1, -1):
         low_sums = np.hstack([low_sums, low_sums + weights[:, k:k + 1]])
     high_shifts = np.arange(bits - low - 1, -1, -1, dtype=np.int64)
+    offsets = np.arange(spread + 1, dtype=np.int64)
     for block in range(1 << (bits - low)):
         high = weights[:, :bits - low] @ ((block >> high_shifts) & 1)
         sums = low_sums + high[:, None]
-        fired = sums[:m] >= thresholds
-        flipped = sums[:m] + flip >= thresholds
+        fired = fires(sums[:m])
+        flipped = fires(sums[:m] + flip)
         gain = gain_w @ (flipped.view(np.int8) - fired.view(np.int8)) + direct
-        top = sums[m] + top_w @ fired + np.maximum(gain, 0).sum(axis=0)
-        sat = top >= circuit.top_pred.params[0]
+        top = sums[m] + top_w @ fired
+        if top_ge:
+            sat = holds_columns(top_kind, top_columns,
+                                top + np.maximum(gain, 0).sum(axis=0))
+        else:
+            steps = np.abs(gain)
+            least = top + np.minimum(gain, 0).sum(axis=0)
+            reach = np.zeros((width, spread + 1), dtype=bool)
+            reach[:, 0] = True
+            for step in steps:
+                shift = offsets - step[:, None]
+                reach |= np.take_along_axis(reach, np.maximum(shift, 0),
+                                            axis=1) & (shift >= 0)
+            hits = reach & holds_columns(top_kind, top_columns,
+                                         least[:, None] + offsets)
+            sat = hits.any(axis=1)
         if sat.any():
             hit = int(np.argmax(sat))
             cnt.assignments += hit + 1
@@ -420,11 +431,57 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             values = [0] * n
             for k, v in enumerate(enumerated):
                 values[v] = (row >> (bits - 1 - k)) & 1
+            if top_ge:
+                chosen = [bool(g > 0) for g in gain[:, hit]]
+            else:
+                taken = _steps_to([int(a) for a in steps[:, hit]],
+                                  int(np.argmax(hits[hit])))
+                # a taken step is x = 1 for a positive gain, x = 0 otherwise
+                chosen = [t != (g < 0) for t, g in zip(taken, gain[:, hit])]
             for k, v in enumerate(s_list):
-                values[v] = int(gain[k, hit] > 0)
+                values[v] = int(chosen[k])
             return tuple(values)
         cnt.assignments += width
     return None
+
+
+def _solve_eliminating(circuit: SymmetricCircuit,
+                       restriction: Optional[Restriction],
+                       params: Optional[RestrictionParams],
+                       max_branch_bits: int,
+                       counters: Optional[WorkCounters]) -> SolveOutcome:
+    """The one route of both solvers: eliminate the greedy independent set,
+    or, under a drawn restriction, its free variables outside the
+    exceptional gates.  Under a top other than `ge`, the variables with the
+    largest gain_bounds, the highest index first among equals, leave the set
+    until its spread fits eliminate's guard."""
+    cnt = counters if counters is not None else WorkCounters()
+    n = circuit.n_vars
+    if n < 1:
+        raise InputError("circuit must have at least one variable")
+    if restriction is None:
+        eliminated = greedy_independent_set(circuit)
+    else:
+        # a gate outside the exceptional ones has at most one free input
+        crowded = {i for j in exceptional_gates(circuit, restriction.free)
+                   for i, _ in circuit.bottom[j].inputs}
+        eliminated = tuple(sorted(restriction.free - crowded))
+    if circuit.top_pred.kind is not PredKind.GE:
+        bound = gain_bounds(circuit)
+        kept = sorted(eliminated, key=lambda v: (bound[v], v))
+        while sum(bound[v] for v in kept) >= 1 << _BLOCK_ELEMENT_BITS:
+            kept.pop()
+        eliminated = tuple(sorted(kept))
+    bits = n - len(eliminated)
+    if bits > max_branch_bits:
+        raise ResourceGuardError(
+            f"2^{bits} enumerated rows exceeds the 2^{max_branch_bits} guard")
+    witness_values = eliminate(circuit, eliminated, cnt)
+    witness = Assignment(witness_values) if witness_values is not None else None
+    if witness is not None:
+        assert evaluate(circuit, witness), "solver produced a bad witness"
+    return SolveOutcome(witness is not None, witness, 1 << bits, restriction,
+                        params, cnt, eliminated)
 
 
 def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
@@ -446,29 +503,14 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     cnt.assignments counts the rows examined.  The returned witness, if
     any, is verified before return.
     """
-    cnt = counters if counters is not None else WorkCounters()
-    n = circuit.n_vars
-    if n < 1:
-        raise InputError("circuit must have at least one variable")
     require_threshold(circuit, "solve")
     restriction = None
-    if params is None and p is None and not force_restriction:
-        eliminated = greedy_independent_set(circuit)
-    else:
+    if params is not None or p is not None or force_restriction:
         rng = Random(seed if seed is not None else instance_seed(circuit))
         if params is None:
             params = restriction_params(circuit, delta)
         if p is not None:
             params = replace(params, p=Fraction(p))
         restriction, _ = sample_restriction(circuit, params, rng)
-        # a gate outside the exceptional ones has at most one free input
-        crowded = {i for j in exceptional_gates(circuit, restriction.free)
-                   for i, _ in circuit.bottom[j].inputs}
-        eliminated = tuple(sorted(restriction.free - crowded))
-    bits = n - len(eliminated)
-    if bits > max_branch_bits:
-        raise ResourceGuardError(
-            f"2^{bits} enumerated rows exceeds the 2^{max_branch_bits} guard")
-    witness_values = eliminate(circuit, eliminated, cnt)
-    return _outcome(circuit, witness_values, 1 << bits, 0, restriction,
-                    params, cnt, eliminated)
+    return _solve_eliminating(circuit, restriction, params, max_branch_bits,
+                              counters)

@@ -3,12 +3,16 @@
 Gates apply an arbitrary predicate (threshold, equality, congruence, or
 membership in a finite set) to an integer-weighted sum of their inputs, and
 so does the top gate; the circuit model lives in `thrsat.model`.  The solver
-runs the threshold solver's restrict-and-branch pipeline, including its
-branch driver, with two differences: the free probability p is chosen by
-maximizing an exact savings score over a geometric grid, and the residual
-circuits are decided by guessing the exact value of every residual gate's
-weighted sum, which turns each guess into a system of linear equations
-solved by a meet-in-the-middle subset-sum search.
+takes the threshold solver's one route, `sparse_sat.eliminate`, which
+decides every predicate kind: if no gate has two inputs in the eliminated
+set, each gate is a function of at most one of its variables whatever its
+predicate.  The only difference is how a requested restriction picks its
+free probability p: by maximizing an exact savings score over a geometric
+grid.
+
+The paper's own residual decider stays as library API: guessing the exact
+value of every residual gate's weighted sum turns each guess into a system
+of linear equations, solved by a meet-in-the-middle subset-sum search.
 """
 from __future__ import annotations
 
@@ -16,25 +20,21 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
 from .model import Assignment, SymmetricCircuit, evaluate
-from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _branch_loop,
-                         _outcome, _scan_outcome, _vector_scan,
+from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _solve_eliminating,
                          draw_restriction, instance_seed)
 from .splitlist import MAX_HALF_VARS
 
-MAX_VALUE_TUPLES = 1 << 16
 EXACT_SUM_MAX_VARS = 16
 DEFAULT_KAPPA = 64
 
 
-@lru_cache(maxsize=1 << 12)
 def candidate_values(coeffs: tuple[tuple[int, int], ...],
                      exact_max_vars: int = EXACT_SUM_MAX_VARS) -> tuple[int, ...]:
     """Values the weighted sum over Boolean variables can take (a superset).
@@ -42,8 +42,7 @@ def candidate_values(coeffs: tuple[tuple[int, int], ...],
     With few variables the exact subset sums are enumerated; otherwise the
     integer interval between the most negative and the most positive
     achievable sum is returned.  Either way the count is at most
-    min(2^l, 2W + 1) for l variables of weighted fan-in W.  Memoized, since
-    every branch of a restriction asks again for the same surviving gates.
+    min(2^l, 2W + 1) for l variables of weighted fan-in W.
     """
     lo = sum(min(w, 0) for _, w in coeffs)
     hi = sum(max(w, 0) for _, w in coeffs)
@@ -183,14 +182,6 @@ def residual_value_systems(circuit: SymmetricCircuit,
             rows = tuple(EqRow(g.inputs, v) for g, v in zip(circuit.bottom, tup)) \
                 + (EqRow(circuit.direct_wires, tau),)
             yield tup, tau, EqSystem(circuit.n_vars, rows)
-
-
-def value_tuple_count(circuit: SymmetricCircuit) -> int:
-    """Number of value guesses residual_value_systems will enumerate."""
-    count = len(candidate_values(circuit.direct_wires))
-    for g in circuit.bottom:
-        count *= len(candidate_values(g.inputs))
-    return count
 
 
 def sat_by_value_guessing(circuit: SymmetricCircuit, *,
@@ -356,65 +347,28 @@ def wire_distribution(circuit: SymmetricCircuit) -> dict[int, Fraction]:
 
 def solve_symmetric(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
                     p: Optional[Fraction] = None,
-                    kappa: int = DEFAULT_KAPPA,
                     force_restriction: bool = False,
-                    fast_path_max_n: int = 20,
-                    tuple_budget: int = MAX_VALUE_TUPLES,
                     max_branch_bits: int = MAX_BRANCH_BITS,
                     counters: Optional[WorkCounters] = None) -> SolveOutcome:
     """Decide satisfiability of a symmetric depth-two circuit, exactly.
 
-    Small circuits are scanned outright.  Otherwise the free probability is
-    the grid argmax of the expected savings for this circuit's wire
-    distribution (overridable via p); if even the best grid point scores
-    nonpositive savings the solver scans exhaustively instead, unless
-    force_restriction insists on the restriction path.  Per branch, residual
-    circuits are decided by value guessing while the guess count stays within
-    tuple_budget, and by scanning the free variables otherwise.
+    The route is `solve`'s: one `eliminate` call.  By default the eliminated
+    set S is `greedy_independent_set` and nothing is drawn.  When p or
+    force_restriction ask for the paper's restriction, one restriction is
+    drawn (seed picks it) at p, or else at the grid argmax of the expected
+    savings for this circuit's wire distribution, and S is its free
+    variables outside the exceptional gates.  Under a top predicate other
+    than `ge` the variables that widen the top sum most leave S until
+    eliminate's guard admits it.  The 2^(n - |S|) rows outside S are
+    enumerated, at most 2^max_branch_bits of them; cnt.assignments counts
+    the rows examined.  The returned witness, if any, is verified.
     """
-    cnt = counters if counters is not None else WorkCounters()
-    n = circuit.n_vars
-    if n < 1:
-        raise InputError("circuit must have at least one variable")
-
-    chosen: Optional[Fraction] = None
-    if n > fast_path_max_n or force_restriction:
-        densities = wire_distribution(circuit)
-        c = sum(densities.values(), Fraction(0))
-        if p is not None:
-            chosen = Fraction(p)
-        elif not densities:
-            chosen = Fraction(1)
-        else:
-            best = choose_p(densities, c, kappa)
-            if force_restriction or expected_savings(best, densities, c) > 0:
-                chosen = best
-    if chosen is None:
-        if n > max_branch_bits:
-            raise ResourceGuardError(
-                f"scanning 2^{n} assignments exceeds the 2^{max_branch_bits} guard")
-        return _scan_outcome(circuit, cnt, None, None)
-
-    rng = Random(seed if seed is not None else instance_seed(circuit))
-    restriction = draw_restriction(circuit, chosen, rng)
-    assigned_vars = tuple(sorted(restriction.assigned))
-    if len(assigned_vars) > max_branch_bits:
-        raise ResourceGuardError(f"2^{len(assigned_vars)} branches exceeds "
-                                 f"the 2^{max_branch_bits} branch guard")
-    free_order = restriction.free_order
-    if not free_order:
-        return _scan_outcome(circuit, cnt, restriction, None)
-
-    fallback_branches = 0
-
-    def decide(residual: SymmetricCircuit) -> Optional[Sequence[int]]:
-        nonlocal fallback_branches
-        if value_tuple_count(residual) <= tuple_budget:
-            return sat_by_value_guessing(residual, counters=cnt)
-        fallback_branches += 1
-        return _vector_scan(residual, {}, tuple(range(residual.n_vars)), cnt)
-
-    witness_values = _branch_loop(circuit, assigned_vars, free_order, decide,
-                                  cnt)
-    return _outcome(circuit, witness_values, 1 << len(assigned_vars),
-                    fallback_branches, restriction, None, cnt)
+    restriction = None
+    if p is not None or force_restriction:
+        if p is None:
+            densities = wire_distribution(circuit)
+            p = choose_p(densities, sum(densities.values(), Fraction(0)))
+        rng = Random(seed if seed is not None else instance_seed(circuit))
+        restriction = draw_restriction(circuit, Fraction(p), rng)
+    return _solve_eliminating(circuit, restriction, None, max_branch_bits,
+                              counters)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from thrsat.counters import WorkCounters
-from thrsat.model import WireStats
+from thrsat.model import WireStats, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
                            brute_ilp, enumerate_satisfying, generate,
                            random_domination, random_ilp, random_mixed_circuit,
@@ -81,7 +81,9 @@ def test_criterion_03_symmetric_solver_matches_brute():
         outcome = solve_symmetric(circuit, seed=i, force_restriction=True)
         ref = brute_circuit_sat(circuit)
         assert outcome.satisfiable == (ref is not None), f"instance {i}"
-    _announce(3, "200/200 verdicts agree")
+        if outcome.witness is not None:
+            assert evaluate(circuit, outcome.witness), f"instance {i}"
+    _announce(3, "200/200 verdicts agree, every witness evaluated")
 
 
 def _no_pair_instance(n, d, seed):

@@ -69,6 +69,8 @@ def test_ilp_witness_is_digit_string():
 def test_symmetric_solve():
     res = run_cli("solve", "symmetric", str(DATA / "sc_mixed.sc2"))
     assert res.returncode == 10
+    last = res.stderr.split()[-1]
+    assert last.startswith("eliminated=") and int(last.split("=")[1]) >= 1
 
 
 def test_gen_emits_parseable_instances(tmp_path):

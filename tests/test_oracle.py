@@ -17,6 +17,7 @@ from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
                            random_ilp, random_mixed_circuit,
                            random_power_circuit, random_symmetric_circuit)
 from thrsat.splitlist import verify
+from thrsat.symsat import solve_symmetric
 from thrsat.vecdom import dominates
 
 
@@ -45,15 +46,18 @@ def test_brute_dispatches_on_circuit_family():
 
 def test_brute_shares_no_scan_with_solver(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle called the solver's scan")
+        raise AssertionError("the oracle called the solver's kernel")
 
-    # every binding of the solver's scan in the package, wherever imported
-    scan = sparse_sat._vector_scan
+    # every binding of the solver's kernel in the package, wherever imported
+    kernel = sparse_sat.eliminate
     for name, module in list(sys.modules.items()):
         if name == "thrsat" or name.startswith("thrsat."):
             for attr, value in list(vars(module).items()):
-                if value is scan:
+                if value is kernel:
                     monkeypatch.setattr(module, attr, refuse)
+    # the solvers now fail, so the patch is in force
+    with pytest.raises(AssertionError):
+        solve_symmetric(random_symmetric_circuit(8, 12, seed=0))
     for seed in range(6):
         circuit = random_symmetric_circuit(8, 12, seed=seed, weight_bound=3,
                                            direct_count=seed % 3) \

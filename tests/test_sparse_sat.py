@@ -15,13 +15,16 @@ from thrsat.errors import InputError, ResourceGuardError
 from thrsat.model import (Predicate, ThresholdCircuit, ThresholdGate,
                           WireStats, evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
-                           random_fixed_fanin_circuit, random_mixed_circuit)
+                           random_fixed_fanin_circuit, random_mixed_circuit,
+                           random_symmetric_circuit)
 from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction, eliminate,
                                exceptional_gates, fanin_separation,
-                               greedy_independent_set, ilp_for_guess,
+                               gain_bounds, greedy_independent_set,
+                               ilp_for_guess,
                                instance_seed, restriction_params,
                                sample_restriction, sat_few_gates, solve)
 from thrsat.splitlist import verify
+from thrsat.symsat import solve_symmetric
 
 
 def test_params_formulas():
@@ -189,7 +192,6 @@ def test_solve_matches_brute_forced(seed):
     assert outcome.eliminated == _outside_exceptional(
         circuit, outcome.restriction.free)
     assert outcome.branches == 1 << (n - len(outcome.eliminated))
-    assert outcome.fallback_branches == 0
     if outcome.witness is not None:
         assert evaluate(circuit, outcome.witness)
         assert cnt.assignments <= outcome.branches
@@ -242,53 +244,133 @@ def _random_independent_set(circuit, rng):
     return chosen
 
 
+def _mixed_tops(sums):
+    """A SAT and an UNSAT top predicate of every kind, for a circuit whose
+    points reach exactly the top sums in sums: the SAT ones hold at a
+    reached sum, the UNSAT ones at none."""
+    reached = sorted(set(sums))
+    lo, hi, mid = reached[0], reached[-1], reached[len(reached) // 2]
+    m = hi - lo + 2   # no reachable sum is congruent to hi + 1 modulo m
+    return [(Predicate.ge(hi), True), (Predicate.eq(mid), True),
+            (Predicate.mod(3, hi % 3), True),
+            (Predicate.members((lo - 1, mid, hi + 1)), True),
+            (Predicate.ge(hi + 1), False), (Predicate.eq(hi + 1), False),
+            (Predicate.mod(m, (hi + 1) % m), False),
+            (Predicate.members((lo - 1, hi + 1)), False)]
+
+
 @pytest.mark.parametrize("source", ["greedy", "draw", "random"])
 def test_eliminate_matches_product_oracle(source):
-    """eliminate against plain enumeration over evaluate, for every `ge` top
-    threshold from one below the smallest top sum to one past the largest,
-    with direct wires and top weights of both signs.  A witness must lie in
-    the first row, in enumeration order, that holds one, and the rows
-    counted must end there.  Every third circuit has 3n wires, so that its
-    rows span several blocks of the kernel."""
+    """eliminate against plain enumeration over evaluate.  Threshold bases
+    take every `ge` top threshold from one below the smallest top sum to one
+    past the largest; mixed-predicate bases take a SAT and an UNSAT top of
+    every kind (ge, eq, mod, set).  All have direct wires and top weights of
+    both signs.  A witness must lie in the first row, in enumeration order,
+    that holds one, and the rows counted must end there, or cover every row
+    when the circuit is UNSAT.  Every third circuit has 3n wires, so that
+    its rows span several blocks of the kernel."""
     rng = Random(source)
     for seed in range(27):
         n = 6 + seed % 9
         wires = 3 * n if seed % 3 == 2 else n + seed % n
-        base = random_mixed_circuit(n, wires, seed=seed, weight_bound=10,
-                                    direct_count=n // 2)
-        if source == "greedy":
-            chosen = set(greedy_independent_set(base))
-        elif source == "draw":
-            free = draw_restriction(base, Fraction(1, 2), Random(seed)).free
-            chosen = set(_outside_exceptional(base, free))
-        else:
-            chosen = _random_independent_set(base, rng)
-        rows = 1 << (n - len(chosen))
-        sums = _top_sums(base)
-        enumerated = [v for v in range(n) if v not in chosen]
-
-        def row_of(values):
-            return sum(values[v] << (len(enumerated) - 1 - k)
-                       for k, v in enumerate(enumerated))
-
-        # the largest top sum in each row
-        row_peak = {}
-        for x, total in zip(itertools.product((0, 1), repeat=n), sums):
-            row = row_of(x)
-            row_peak[row] = max(row_peak.get(row, total), total)
-        for top in range(min(sums) - 1, max(sums) + 2):
-            circuit = replace(base, top_pred=Predicate.ge(top))
-            cnt = WorkCounters()
-            found = eliminate(circuit, chosen, cnt)
-            sat = _product_oracle(circuit)
-            assert (found is not None) == sat, (seed, top)
-            if sat:
-                assert evaluate(circuit, found)
-                first = min(r for r, peak in row_peak.items() if peak >= top)
-                assert row_of(found) == first
-                assert cnt.assignments == first + 1
+        threshold = random_mixed_circuit(n, wires, seed=seed, weight_bound=10,
+                                         direct_count=n // 2)
+        mixed = random_symmetric_circuit(n, wires, seed=seed, weight_bound=3,
+                                         direct_count=n // 2)
+        mixed = replace(mixed, top_gate_weights=tuple(
+            -w if k % 3 == seed % 3 else w
+            for k, w in enumerate(mixed.top_gate_weights)))
+        for base in (threshold, mixed):
+            if source == "greedy":
+                chosen = set(greedy_independent_set(base))
+            elif source == "draw":
+                free = draw_restriction(base, Fraction(1, 2), Random(seed)).free
+                chosen = set(_outside_exceptional(base, free))
             else:
-                assert cnt.assignments == rows
+                chosen = _random_independent_set(base, rng)
+            sums = _top_sums(base)
+            if base is threshold:
+                tops = [(Predicate.ge(t), None)
+                        for t in range(min(sums) - 1, max(sums) + 2)]
+            else:
+                tops = _mixed_tops(sums)
+            _check_first_rows(base, chosen, sums, tops)
+
+
+def _check_first_rows(base, chosen, sums, tops):
+    n = base.n_vars
+    rows = 1 << (n - len(chosen))
+    enumerated = [v for v in range(n) if v not in chosen]
+
+    def row_of(values):
+        return sum(values[v] << (len(enumerated) - 1 - k)
+                   for k, v in enumerate(enumerated))
+
+    # the top sums each row reaches
+    row_sums = {}
+    for x, total in zip(itertools.product((0, 1), repeat=n), sums):
+        row_sums.setdefault(row_of(x), set()).add(total)
+    for top, expected in tops:
+        circuit = replace(base, top_pred=top)
+        cnt = WorkCounters()
+        found = eliminate(circuit, chosen, cnt)
+        # a mixed top's verdict follows from the enumerated sums
+        sat = _product_oracle(circuit) if expected is None else expected
+        assert (found is not None) == sat, top
+        if sat:
+            assert evaluate(circuit, found)
+            first = next(r for r in range(rows)
+                         if any(top.holds(s) for s in row_sums[r]))
+            assert row_of(found) == first
+            assert cnt.assignments == first + 1
+        else:
+            assert cnt.assignments == rows
+
+
+def test_eliminate_trims_wide_tops():
+    """An `eq` top whose gates carry top weights near 2^30: solve_symmetric
+    drops the heavy variables from the greedy set until the top sums of a
+    row spread over fewer than 2^14 values, eliminate refuses the untrimmed
+    set, and the verdict matches the brute force either way."""
+    big = 1 << 30
+    nonempty = 0
+    for seed in range(6):
+        base = random_symmetric_circuit(12, 20, seed=seed, weight_bound=3,
+                                        direct_count=3)
+        weights = tuple(big + k if k % 2 else 1 + k % 3
+                        for k in range(len(base.bottom)))
+        base = replace(base, top_gate_weights=weights)
+        greedy = set(greedy_independent_set(base))
+        bound = gain_bounds(base)
+        assert sum(bound[v] for v in greedy) >= 1 << 14
+        for top in sorted(set(_top_sums(base)))[::7] + [big // 2]:
+            circuit = replace(base, top_pred=Predicate.eq(top))
+            with pytest.raises(ResourceGuardError):
+                eliminate(circuit, greedy, WorkCounters())
+            cnt = WorkCounters()
+            outcome = solve_symmetric(circuit, counters=cnt)
+            kept = set(outcome.eliminated)
+            assert kept < greedy
+            assert sum(bound[v] for v in kept) < 1 << 14
+            # the heaviest leave first, the highest index first among equals,
+            # and only until the rest fits
+            ranked = sorted(greedy, key=lambda v: (bound[v], v))
+            while sum(bound[v] for v in ranked) >= 1 << 14:
+                ranked.pop()
+            assert kept == set(ranked)
+            nonempty += bool(kept)
+            assert outcome.branches == 1 << (12 - len(kept))
+            ref = brute_circuit_sat(circuit)
+            assert outcome.satisfiable == (ref is not None), (seed, top)
+            if ref is None:
+                assert cnt.assignments == outcome.branches
+    assert nonempty
+    # equal bounds: the highest index leaves first
+    gates = tuple(ThresholdGate(((i, 1),), 1) for i in range(3))
+    tied = replace(ThresholdCircuit(3, gates, (6000,) * 3, (), 0),
+                   top_pred=Predicate.eq(12000))
+    outcome = solve_symmetric(tied)
+    assert outcome.eliminated == (0, 1) and outcome.satisfiable
 
 
 def test_eliminate_refuses_dependent_sets():
@@ -299,9 +381,13 @@ def test_eliminate_refuses_dependent_sets():
         eliminate(circuit, pair, WorkCounters())
     with pytest.raises(InputError):
         eliminate(circuit, {10}, WorkCounters())
+    # a top other than `ge` is decided, not refused
     symmetric = replace(circuit, top_pred=Predicate.eq(1))
-    with pytest.raises(InputError):
-        eliminate(symmetric, (), WorkCounters())
+    found = eliminate(symmetric, (), WorkCounters())
+    ref = brute_circuit_sat(symmetric)
+    assert (found is None) == (ref is None)
+    if found is not None:
+        assert found == ref.values
 
 
 def test_eliminate_thresholds_beyond_int64():
@@ -384,7 +470,7 @@ def test_forced_restriction_routes_match_product_oracle(p, sizes):
             assert outcome.eliminated == eliminated
             rows = 1 << (n - len(eliminated))
             assert outcome.branches == rows
-            assert outcome.fallback_branches == 0 and cnt.guesses == 0
+            assert cnt.guesses == 0
             if sat:
                 assert evaluate(circuit, outcome.witness)
                 assert cnt.assignments <= rows

@@ -18,13 +18,13 @@ from thrsat.model import (Predicate, Restriction, SymmetricCircuit,
                           SymmetricGate, evaluate, evaluate_batch, simplify)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_eq_system, random_symmetric_circuit)
+from thrsat.sparse_sat import draw_restriction, greedy_independent_set
 from thrsat.symsat import (DEFAULT_KAPPA, EqRow, EqSystem, PDistribution,
                            adversarial_densities, candidate_values, choose_p,
                            expected_savings, grid_size, p_grid,
                            residual_value_systems, sat_by_value_guessing,
                            savings, solve_boolean_linear_system,
-                           solve_symmetric, value_tuple_count,
-                           wire_distribution)
+                           solve_symmetric, wire_distribution)
 
 
 def all_assignments(n):
@@ -85,6 +85,33 @@ def test_holds_batch_matches_scalar():
         batch = pred.holds_batch(sums)
         for s, verdict in zip(sums, batch):
             assert pred.holds(int(s)) == bool(verdict)
+
+
+def test_holds_batch_beyond_int64():
+    """Parameters outside int64: a membership list with a member no guarded
+    sum reaches, and moduli past the accumulation guard, where the only
+    sums in range congruent to r are r - m and r."""
+    big = 1 << 70
+    sums = np.array([-(1 << 62) + 1, -(1 << 61), -5, -1, 0, 1, 5, 1 << 61,
+                     (1 << 62) - 1], dtype=np.int64)
+    preds = (Predicate.members((big, 1)), Predicate.members((-big, big)),
+             Predicate.mod(big, 5), Predicate.mod(big, big - 5),
+             Predicate.mod((1 << 62) + 3, (1 << 62) - 1),
+             Predicate.mod((1 << 62) + 3, 4), Predicate.ge(big),
+             Predicate.ge(-big), Predicate.eq(big))
+    for pred in preds:
+        batch = pred.holds_batch(sums)
+        assert [bool(v) for v in batch] == [pred.holds(int(s)) for s in sums]
+    assert Predicate.mod(big, big - 5).holds_batch(sums)[2]
+    gate = SymmetricGate(((0, 1), (1, 1)), Predicate.ge(1))
+    for top in (Predicate.members((big, 1)), Predicate.members((big, 3)),
+                Predicate.mod(big, big - 1), Predicate.mod(big, 3)):
+        circuit = SymmetricCircuit(3, (gate,), (1,), ((2, 1),), top)
+        ref = brute_circuit_sat(circuit)
+        outcome = solve_symmetric(circuit)
+        assert outcome.satisfiable == (ref is not None), top
+        if outcome.witness is not None:
+            assert evaluate(circuit, outcome.witness)
 
 
 # --- circuits ---------------------------------------------------------------
@@ -210,14 +237,6 @@ def test_residual_systems_cover_sat_set_exactly():
                     covered.add(values)
         expected = set(enumerate_satisfying(circuit))
         assert covered == expected
-
-
-def test_value_tuple_count_matches_enumeration():
-    circuit = random_symmetric_circuit(6, 8, seed=3, weight_bound=2)
-    count = value_tuple_count(circuit)
-    yielded = sum(1 for _ in residual_value_systems(circuit))
-    # The enumeration filters by the top predicate, so it can only be smaller.
-    assert yielded <= count
 
 
 @given(st.integers(0, 10_000))
@@ -357,33 +376,20 @@ def test_solve_matches_brute_forced(seed):
 
 
 def test_solve_fast_path():
+    """The default route: no draw, the greedy independent set eliminated,
+    every other variable enumerated."""
     circuit = random_symmetric_circuit(8, 12, seed=1, weight_bound=3)
-    outcome = solve_symmetric(circuit)
-    assert outcome.restriction is None
-    assert outcome.branches == 1 << 8
+    cnt = WorkCounters()
+    outcome = solve_symmetric(circuit, counters=cnt)
+    assert outcome.restriction is None and outcome.params is None
+    assert outcome.eliminated == greedy_independent_set(circuit)
+    assert outcome.eliminated
+    assert outcome.branches == 1 << (8 - len(outcome.eliminated))
     assert outcome.satisfiable == (brute_circuit_sat(circuit) is not None)
-
-
-def test_solve_tuple_budget_fallback():
-    for seed in range(8):
-        circuit = random_symmetric_circuit(10, 14, seed=seed, weight_bound=3)
-        forced = solve_symmetric(circuit, seed=seed, force_restriction=True,
-                                 p=Fraction(1, 2), tuple_budget=0)
-        assert forced.fallback_branches > 0
-        assert forced.satisfiable == (brute_circuit_sat(circuit) is not None)
-
-
-def test_solve_negative_savings_falls_back_to_scan():
-    # With a one-point grid every candidate p sits above the knee of these
-    # fan-in-two gates and scores negative, so the solver scans instead.
-    gates = tuple(SymmetricGate(((2 * i, 1), (2 * i + 1, 1)), Predicate.ge(1))
-                  for i in range(11))
-    circuit = SymmetricCircuit(22, gates, tuple([1] * 11), (),
-                               Predicate.ge(6))
-    outcome = solve_symmetric(circuit, seed=0, kappa=1)
-    assert outcome.restriction is None
-    assert outcome.branches == 1 << 22
-    assert outcome.satisfiable
+    if outcome.witness is None:
+        assert cnt.assignments == outcome.branches
+    else:
+        assert evaluate(circuit, outcome.witness)
 
 
 def test_solve_seed_is_deterministic():
@@ -418,41 +424,48 @@ def _top_predicates(sums):
             (Predicate.members((lo - 1, hi + 1)), False)]
 
 
-@pytest.mark.parametrize("p, budget", [(Fraction(1, 4), 3),
-                                       (Fraction(1, 2), 4)])
-def test_forced_restriction_routes_match_product_oracle(p, budget):
+def _outside_exceptional(circuit, free):
+    """The free variables in no gate with two or more free inputs, worked out
+    here from the definition."""
+    crowded = set()
+    for gate in circuit.bottom:
+        inputs = {i for i, _ in gate.inputs}
+        if len(inputs & free) >= 2:
+            crowded |= inputs
+    return tuple(sorted(set(free) - crowded))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2)])
+def test_forced_restriction_routes_match_product_oracle(p):
     """Mixed-predicate circuits with direct wires, under every top
     predicate kind, SAT and UNSAT, each verdict against a plain enumeration
-    over evaluate.  The tuple budget sits among the residuals' value-tuple
-    counts, so with a nonempty free set the UNSAT solves take value guessing
-    on every branch, the fallback scan on every branch, and both routes in
-    one solve."""
+    over evaluate.  The eliminated set must be exactly the draw's free
+    variables outside the exceptional gates (the top weights are small, so
+    nothing is trimmed), and an UNSAT solve must examine every one of its
+    2^(n - |S|) rows; both an empty and a nonempty set must occur."""
     taken = set()
     for seed in range(20):
         n = 8 + seed % 3
         base = random_symmetric_circuit(n, n + seed % n, seed=seed,
                                         weight_bound=3, direct_count=2)
+        free = draw_restriction(base, p, Random(seed)).free
         for top, sat in _top_predicates(_reachable_top_sums(base)):
             circuit = replace(base, top_pred=top)
             cnt = WorkCounters()
             outcome = solve_symmetric(circuit, seed=seed, p=p,
-                                      force_restriction=True,
-                                      tuple_budget=budget, counters=cnt)
+                                      force_restriction=True, counters=cnt)
             assert sat == any(evaluate(circuit, values)
                               for values in itertools.product(
                                   (0, 1), repeat=n))
             assert outcome.satisfiable == sat, (seed, top)
+            assert outcome.restriction.free == free
+            assert outcome.eliminated == _outside_exceptional(circuit, free)
+            assert outcome.branches == 1 << (n - len(outcome.eliminated))
+            assert cnt.guesses == 0
             if outcome.witness is not None:
                 assert evaluate(circuit, outcome.witness)
-            if sat or not outcome.restriction.free:
-                continue
-            if outcome.fallback_branches == 0:
-                assert cnt.guesses >= outcome.branches
-                taken.add("guess")
-            elif outcome.fallback_branches == outcome.branches:
-                assert cnt.guesses == 0
-                taken.add("fallback")
+                assert cnt.assignments <= outcome.branches
             else:
-                assert cnt.guesses > 0
-                taken.add("both")
-    assert taken == {"guess", "fallback", "both"}
+                assert cnt.assignments == outcome.branches
+            taken.add("nonempty" if outcome.eliminated else "empty")
+    assert taken == {"empty", "nonempty"}
