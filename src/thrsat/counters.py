@@ -9,7 +9,9 @@ class WorkCounters:
     """Tallies of the basic operations performed by a solver run.
 
     assignments: full or partial variable assignments enumerated
-    vectors:     vectors materialized for list-splitting searches
+    vectors:     half-list rows handed to the dominating-pair search (only
+                 the rows that can be in a dominating pair are listed),
+                 or half keys built by the linear-system join
     comparisons: coordinate comparisons inside pair searches and scans
     guesses:     gate-subset or gate-value guesses tried
     eq_solves:   linear-system solver invocations

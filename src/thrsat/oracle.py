@@ -109,6 +109,61 @@ def brute_ilp(system: IneqSystem, *,
     return None
 
 
+HalfRows = dict[int, tuple[int, ...]]
+
+
+def brute_half_lists(system: IneqSystem) -> tuple[HalfRows, HalfRows]:
+    """The rows that split-and-list must hand to its search, by definition,
+    computed over every half assignment with Python integers.
+
+    Every row reads 'sum >= rhs': a strict row with rhs + 1, a `le`/`lt` row
+    negated, an equality as the row and then its negation.  The first half
+    is x_0..x_{h-1} with h = ceil(n/2), the second the rest, and a half
+    assignment's tag has digit (tag // arity^pos) % arity at its pos-th
+    variable.  The first dict maps the tag of every first-half assignment
+    whose sums reach rhs minus the largest second-half sum, in every row, to
+    those sums.  The second maps the tag of every second-half assignment
+    whose slack, rhs minus its sums, is at most the first dict's largest sum
+    in every row to that slack; it is empty when the first is.
+    """
+    n, arity = system.n_vars, system.arity
+    norm = []  # (sign, row, rhs) for 'sign * sum >= rhs'
+    for row in system.rows:
+        if row.rel is Rel.GE:
+            norm.append((1, row, row.rhs))
+        elif row.rel is Rel.GT:
+            norm.append((1, row, row.rhs + 1))
+        elif row.rel is Rel.LE:
+            norm.append((-1, row, -row.rhs))
+        elif row.rel is Rel.LT:
+            norm.append((-1, row, -row.rhs + 1))
+        else:
+            norm += [(1, row, row.rhs), (-1, row, -row.rhs)]
+
+    def sums(variables: range) -> HalfRows:
+        out = {}
+        for tag in range(arity ** len(variables)):
+            values = {v: (tag // arity ** pos) % arity
+                      for pos, v in enumerate(variables)}
+            out[tag] = tuple(sign * sum(w * values.get(i, 0)
+                                        for i, w in row.coeffs)
+                             for sign, row, _ in norm)
+        return out
+
+    half = (n + 1) // 2
+    first, second = sums(range(half)), sums(range(half, n))
+    rhs = [r for _, _, r in norm]
+    top_second = [max(column) for column in zip(*second.values())]
+    first = {t: s for t, s in first.items()
+             if all(a >= r - top for a, r, top in zip(s, rhs, top_second))}
+    if not first:
+        return {}, {}
+    top_first = [max(column) for column in zip(*first.values())]
+    slacks = {t: tuple(r - a for a, r in zip(s, rhs)) for t, s in second.items()}
+    return first, {t: s for t, s in slacks.items()
+                   if all(b <= top for b, top in zip(s, top_first))}
+
+
 def brute_domination(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
     """Check all pairs of rows; returns the first (i, j) in row order with
     a[i] >= b[j] in every coordinate."""

@@ -397,9 +397,12 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     low = min(bits, max(0, _BLOCK_ELEMENT_BITS
                         - max(m + 1, spread + 1).bit_length()))
     width = 1 << low
-    low_sums = np.zeros((m + 1, 1), dtype=np.int64)
-    for k in range(bits - 1, bits - low - 1, -1):
-        low_sums = np.hstack([low_sums, low_sums + weights[:, k:k + 1]])
+    # filled in place, the columns doubling with each bit from the lowest
+    low_sums = np.empty((m + 1, width), dtype=np.int64)
+    low_sums[:, 0] = 0
+    for k in range(low):
+        np.add(low_sums[:, :1 << k], weights[:, bits - 1 - k:bits - k],
+               out=low_sums[:, 1 << k:2 << k])
     high_shifts = np.arange(bits - low - 1, -1, -1, dtype=np.int64)
     offsets = np.arange(spread + 1, dtype=np.int64)
     for block in range(1 << (bits - low)):

@@ -2,18 +2,25 @@
 
 Every row is first rewritten as 'sum >= rhs' (a strict row becomes the
 non-strict row with rhs + 1, an equality two opposite rows).  The variables
-are then split into two halves and all assignments to each half are listed
-as one (arity^h, rows) int64 matrix, untagged: the row index encodes the
-half assignment.  The first half's matrix holds row contributions, the
-second's row slacks (rhs minus contribution).  The system is feasible
-exactly when some contribution row dominates some slack row, which the
-non-strict vecdom search decides without comparing all pairs.
+are then split into two halves and the assignments to each half are listed
+as an int64 matrix with one tag per row, the half assignment it encodes.
+The first half's matrix holds row contributions, the second's row slacks
+(rhs minus contribution).  The system is feasible exactly when some
+contribution row dominates some slack row, which the non-strict vecdom
+search decides without comparing all pairs.
+
+Only rows that can be in a dominating pair are listed, the bound step of
+offline dominance (Bentley, CACM 1980).  A first-half row below rhs_j minus
+the second half's largest sum in some row j dominates no slack row, and a
+slack row above the listed first half's maximum in some row is dominated
+by none; both lists are built one variable at a time and a partial row
+that cannot reach its bound even with the largest completion is dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +31,8 @@ from .vecdom import find_dominating_pair
 
 MAX_ROWS = 62
 MAX_HALF_VARS = 28
+# tags are int64: a half of more than 2^62 assignments is refused at any guard
+TAG_BITS = 62
 
 # normalized rows: (coeffs, rhs) for 'sum of w * x_i >= rhs'
 NormRows = list[tuple[tuple[tuple[int, int], ...], int]]
@@ -141,34 +150,93 @@ def _decode(tag: int, var_indices: Sequence[int], arity: int, out: list[int]) ->
         t //= arity
 
 
-def _half_table(weights: np.ndarray, arity: int) -> np.ndarray:
-    """Row t: the sum over pos of ((t // arity^pos) % arity) * weights[pos]."""
-    d = weights.shape[1]
-    table = np.zeros((1, d), dtype=np.int64)
-    digits = np.arange(arity, dtype=np.int64)[:, None, None]
-    for w in weights:
-        table = (table + digits * w).reshape(arity * len(table), d)
-    return table
+class HalfList(NamedTuple):
+    """One half's listed rows: vectors[r] belongs to the half assignment
+    tags[r], whose pos-th variable takes digit (tags[r] // arity^pos) % arity.
+    Tags increase down the list."""
+    vectors: np.ndarray  # (rows, len(normalized rows)) int64
+    tags: np.ndarray     # (rows,) int64
 
 
-def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[np.ndarray, np.ndarray]:
-    """Both half tables of the system, as (arity^h, len(rows)) int64 arrays.
+def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
+                  floor: np.ndarray, arity: int) -> HalfList:
+    """The assignments to the h variables of weights (h, d) whose row sums
+    reach floor in every row, with those sums.  gain and loss are
+    max(0, (arity - 1) * weights) and min(0, (arity - 1) * weights).
+
+    The variables are added one at a time, the last added the most
+    significant digit of the tag.  After k of them a partial row is dropped
+    once its sum plus the largest completion, the remaining variables'
+    gain, falls below floor in some row.  The least partial sum plus that
+    completion only shrinks with k, so the levels where no row can fall
+    short come first and skip the test.  They grow one preallocated table
+    in place, and until the first test a row's index is its tag.
+    """
+    h, d = weights.shape
+    room = np.zeros((h + 1, d), dtype=np.int64)
+    room[:h] = np.cumsum(gain[::-1], axis=0)[::-1]
+    least = np.zeros((h + 1, d), dtype=np.int64)
+    least[1:] = np.cumsum(loss, axis=0)
+    short = (least + room < floor).any(axis=1)
+    start = int(np.argmax(short)) if short.any() else h + 1
+    table = np.empty((arity ** min(start, h), d), dtype=np.int64)
+    table[0] = 0
+    size = 1
+    for w in weights[:start]:
+        for digit in range(1, arity):
+            np.add(table[:size], digit * w,
+                   out=table[digit * size:(digit + 1) * size])
+        size *= arity
+    tags = None
+    digits = np.arange(arity, dtype=np.int64)
+    for k in range(start, h + 1):
+        if k > start:
+            table = (table + digits[:, None, None] * weights[k - 1]
+                     ).reshape(arity * len(table), d)
+            tags = (digits[:, None] * arity ** (k - 1) + tags).reshape(-1)
+        keep = (table >= floor - room[k]).all(axis=1)
+        table = table[keep]
+        tags = np.flatnonzero(keep) if tags is None else tags[keep]
+        if not len(table):
+            break
+    return HalfList(table, np.arange(len(table)) if tags is None else tags)
+
+
+def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
+    """Both half lists of the system, pruned to the rows that can be in a
+    dominating pair.
 
     rows are the system's normalized rows.  The first half is x_0..x_{h-1}
-    with h = ceil(n/2), the second the rest; row t of a table encodes the
-    half assignment whose pos-th variable takes digit (t // arity^pos) %
-    arity.  The first table holds that assignment's row sums, the second
-    rhs minus them, so that feasibility becomes a dominating-pair question
-    between the two.
+    with h = ceil(n/2), the second the rest.  The first list holds the row
+    sums of exactly the first-half assignments that reach rhs minus the
+    second half's largest sum, sum of max(0, (arity - 1) * w), in every row;
+    the second holds rhs minus the row sums, the slacks, of exactly the
+    second-half assignments whose slack is at most the first list's column
+    maximum in every row, and is empty when the first is.  Feasibility is
+    then a dominating-pair question between the two.  With no row that
+    prunes, the lists hold all arity^h and arity^(n-h) assignments.
     """
+    arity = sys.arity
     weights = np.zeros((sys.n_vars, len(rows)), dtype=np.int64)
     for j, (coeffs, _) in enumerate(rows):
         for i, w in coeffs:
             weights[i, j] = w
     rhs = np.array([r for _, r in rows], dtype=np.int64)
     half = (sys.n_vars + 1) // 2
-    return (_half_table(weights[:half], sys.arity),
-            rhs - _half_table(weights[half:], sys.arity))
+    scaled = (arity - 1) * weights
+    gain, loss = np.maximum(scaled, 0), np.minimum(scaled, 0)
+    first = _bounded_sums(weights[:half], gain[:half], loss[:half],
+                          rhs - gain[half:].sum(axis=0), arity)
+    if not len(first.vectors):
+        return first, HalfList(np.zeros((0, len(rows)), dtype=np.int64),
+                               np.zeros(0, dtype=np.int64))
+    # a full first list reaches its closed-form maximum
+    top_first = (gain[:half].sum(axis=0) if len(first.vectors) == arity ** half
+                 else first.vectors.max(axis=0))
+    second = _bounded_sums(weights[half:], gain[half:], loss[half:],
+                           rhs - top_first, arity)
+    np.subtract(rhs, second.vectors, out=second.vectors)
+    return first, second
 
 
 def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
@@ -177,7 +245,9 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     """Find a feasible assignment by splitting and listing, or report None.
 
     The guard refuses systems whose larger half has more than
-    2^max_half_vars assignments.
+    2^max_half_vars assignments, or more than 2^TAG_BITS whatever the guard.
+    cnt.vectors grows by the rows of both pruned half lists, the rows
+    handed to the dominating-pair search.
     """
     cnt = counters if counters is not None else WorkCounters()
     n, arity = sys.n_vars, sys.arity
@@ -185,26 +255,27 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     if len(rows) > MAX_ROWS:
         raise ResourceGuardError(f"{len(rows)} normalized rows exceeds the {MAX_ROWS}-row guard")
     half = (n + 1) // 2
-    # arity^half > 2^max_half_vars, tested by bit length so that a large
+    # arity^half > 2^limit, tested by bit length so that a large
     # max_half_vars builds no large power; the first test keeps arity^half small
-    if half > max_half_vars or (arity ** half - 1).bit_length() > max_half_vars:
+    limit = min(max_half_vars, TAG_BITS)
+    if half > limit or (arity ** half - 1).bit_length() > limit:
         raise ResourceGuardError(
-            f"{arity}^{half} half assignments exceeds the 2^{max_half_vars} guard")
+            f"{arity}^{half} half assignments exceeds the 2^{limit} guard")
 
-    a, b = half_lists(sys, rows)
-    cnt.vectors += len(a) + len(b)
+    first, second = half_lists(sys, rows)
+    cnt.vectors += len(first.vectors) + len(second.vectors)
 
     if not rows:
         pair = (0, 0)
     else:
-        pair, vcnt = find_dominating_pair(a, b)
+        pair, vcnt = find_dominating_pair(first.vectors, second.vectors)
         cnt.comparisons += vcnt.comparisons
         if pair is None:
             return None, cnt
 
     values = [0] * n
-    _decode(pair[0], range(half), arity, values)
-    _decode(pair[1], range(half, n), arity, values)
+    _decode(int(first.tags[pair[0]]), range(half), arity, values)
+    _decode(int(second.tags[pair[1]]), range(half, n), arity, values)
     found = Assignment(tuple(values), arity)
     assert verify(sys, found), "split-and-list produced an infeasible witness"
     return found, cnt

@@ -14,13 +14,13 @@ from random import Random
 from thrsat.counters import WorkCounters
 from thrsat.model import WireStats, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
-                           brute_ilp, enumerate_satisfying, generate,
-                           random_domination, random_ilp, random_mixed_circuit,
-                           random_symmetric_circuit)
+                           brute_half_lists, brute_ilp, enumerate_satisfying,
+                           generate, random_domination, random_ilp,
+                           random_mixed_circuit, random_symmetric_circuit)
 from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction,
                                exceptional_gates, ilp_for_guess,
                                restriction_params, solve)
-from thrsat.splitlist import solve_ilp, verify
+from thrsat.splitlist import half_lists, normalize_rows, solve_ilp, verify
 from thrsat.symsat import (adversarial_densities, choose_p, expected_savings,
                            p_grid, residual_value_systems, savings,
                            solve_symmetric)
@@ -113,17 +113,35 @@ def test_criterion_04_domination_work_bound():
 
 
 def test_criterion_05_vector_count_identity():
-    """solve_ilp materializes exactly arity^ceil(n/2) + arity^floor(n/2)."""
-    checked = 0
+    """solve_ilp hands its search exactly the half assignments that reach
+    the other half's bound: the lists equal brute_half_lists, vectors counts
+    their rows, and arity^ceil(n/2) + arity^floor(n/2) bounds it, with
+    equality exactly when neither list is pruned."""
+    checked = pruned = 0
     for i in range(50):
         arity = 2 + i % 3
         n = 2 + i % 9
         system = random_ilp(n, i % 5, arity, seed=i)
+        first, second = half_lists(system, normalize_rows(system))
+        got = tuple({int(t): tuple(int(x) for x in v)
+                     for t, v in zip(side.tags, side.vectors)}
+                    for side in (first, second))
+        assert got == brute_half_lists(system), i
         cnt = WorkCounters()
         solve_ilp(system, counters=cnt)
-        assert cnt.vectors == arity ** ((n + 1) // 2) + arity ** (n // 2), i
+        identity = arity ** ((n + 1) // 2) + arity ** (n // 2)
+        assert cnt.vectors == len(got[0]) + len(got[1]) <= identity, i
+        full = (len(got[0]) == arity ** ((n + 1) // 2)
+                and len(got[1]) == arity ** (n // 2))
+        assert (cnt.vectors == identity) == full, i
+        if i % 5 == 0:
+            # zero rows: nothing prunes
+            assert full, i
+        pruned += not full
         checked += 1
-    _announce(5, f"identity exact on {checked}/50 runs")
+    assert pruned
+    _announce(5, f"lists exact on {checked}/50 runs, {pruned} pruned below "
+                 "the identity")
 
 
 def test_criterion_06_fanin_window_selection():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrsat import sparse_sat
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
 from thrsat.model import (Predicate, ThresholdCircuit, ThresholdGate,
@@ -371,6 +372,36 @@ def test_eliminate_trims_wide_tops():
                    top_pred=Predicate.eq(12000))
     outcome = solve_symmetric(tied)
     assert outcome.eliminated == (0, 1) and outcome.satisfiable
+
+
+def test_eliminate_blocks_stay_under_the_element_guard(monkeypatch):
+    """Under a top other than `ge`, a block's reach table is (rows, W + 1):
+    with three gates, nine enumerated variables and W = 1500, sizing blocks
+    from the gate count alone would test 2^9 * 1501 top sums at once.  Every
+    array a predicate is tested on stays below 2^14 entries."""
+    shapes = []
+    real = sparse_sat.holds_columns
+
+    def recording(kind, columns, values):
+        shapes.append(values.shape)
+        return real(kind, columns, values)
+
+    monkeypatch.setattr(sparse_sat, "holds_columns", recording)
+    gates = tuple(ThresholdGate(((j, 1), (3 + j, 1)), 1) for j in range(3))
+    base = ThresholdCircuit(12, gates, (500, 500, 500), ((6, 1), (7, -1)), 0)
+    assert sum(gain_bounds(base)[v] for v in (0, 1, 2)) == 1500
+    for top, sat in ((Predicate.eq(1), True), (Predicate.eq(1502), False),
+                     (Predicate.mod(1000, 7), False)):
+        circuit = replace(base, top_pred=top)
+        shapes.clear()
+        cnt = WorkCounters()
+        found = eliminate(circuit, (0, 1, 2), cnt)
+        assert (found is not None) == sat == (brute_circuit_sat(circuit)
+                                              is not None)
+        if not sat:
+            assert cnt.assignments == 1 << 9
+        assert (8, 1501) in shapes
+        assert max(rows * cols for rows, cols in shapes) < 1 << 14
 
 
 def test_eliminate_refuses_dependent_sets():
