@@ -158,19 +158,33 @@ class HalfList(NamedTuple):
     tags: np.ndarray     # (rows,) int64
 
 
+def _grow(buf: np.ndarray, size: int, step: Union[np.ndarray, int],
+          arity: int) -> np.ndarray:
+    """Extend buf[:size] to arity * size rows, row digit * size + r holding
+    buf[r] + digit * step; buf is reallocated only when it is too short."""
+    if arity * size > len(buf):
+        grown = np.empty((arity * size,) + buf.shape[1:], dtype=np.int64)
+        grown[:size] = buf[:size]
+        buf = grown
+    for digit in range(1, arity):
+        np.add(buf[:size], digit * step, out=buf[digit * size:(digit + 1) * size])
+    return buf
+
+
 def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
                   floor: np.ndarray, arity: int) -> HalfList:
     """The assignments to the h variables of weights (h, d) whose row sums
     reach floor in every row, with those sums.  gain and loss are
     max(0, (arity - 1) * weights) and min(0, (arity - 1) * weights).
 
-    The variables are added one at a time, the last added the most
-    significant digit of the tag.  After k of them a partial row is dropped
-    once its sum plus the largest completion, the remaining variables'
-    gain, falls below floor in some row.  The least partial sum plus that
-    completion only shrinks with k, so the levels where no row can fall
-    short come first and skip the test.  They grow one preallocated table
-    in place, and until the first test a row's index is its tag.
+    The variables are added one at a time by _grow, the last added the
+    most significant digit of the tag.  After k of them a partial row is
+    dropped once its sum plus the largest completion, the remaining
+    variables' gain, falls below floor in some row.  The least partial sum
+    plus that completion only shrinks with k, so the levels where no row
+    can fall short come first and skip the test.  They fill one table
+    allocated at the first tested level's size, and until the first test
+    a row's index is its tag.
     """
     h, d = weights.shape
     room = np.zeros((h + 1, d), dtype=np.int64)
@@ -181,25 +195,23 @@ def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
     start = int(np.argmax(short)) if short.any() else h + 1
     table = np.empty((arity ** min(start, h), d), dtype=np.int64)
     table[0] = 0
-    size = 1
-    for w in weights[:start]:
-        for digit in range(1, arity):
-            np.add(table[:size], digit * w,
-                   out=table[digit * size:(digit + 1) * size])
-        size *= arity
     tags = None
-    digits = np.arange(arity, dtype=np.int64)
-    for k in range(start, h + 1):
-        if k > start:
-            table = (table + digits[:, None, None] * weights[k - 1]
-                     ).reshape(arity * len(table), d)
-            tags = (digits[:, None] * arity ** (k - 1) + tags).reshape(-1)
-        keep = (table >= floor - room[k]).all(axis=1)
-        table = table[keep]
-        tags = np.flatnonzero(keep) if tags is None else tags[keep]
-        if not len(table):
-            break
-    return HalfList(table, np.arange(len(table)) if tags is None else tags)
+    size = 1
+    for k in range(h + 1):
+        if k:
+            table = _grow(table, size, weights[k - 1], arity)
+            if tags is not None:
+                tags = _grow(tags, size, arity ** (k - 1), arity)
+            size *= arity
+        if k >= start:
+            # from the first test on, table and tags hold exactly size rows
+            keep = (table >= floor - room[k]).all(axis=1)
+            table = table[keep]
+            tags = np.flatnonzero(keep) if tags is None else tags[keep]
+            size = len(table)
+            if not size:
+                break
+    return HalfList(table, np.arange(size) if tags is None else tags)
 
 
 def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
@@ -230,11 +242,8 @@ def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
     if not len(first.vectors):
         return first, HalfList(np.zeros((0, len(rows)), dtype=np.int64),
                                np.zeros(0, dtype=np.int64))
-    # a full first list reaches its closed-form maximum
-    top_first = (gain[:half].sum(axis=0) if len(first.vectors) == arity ** half
-                 else first.vectors.max(axis=0))
     second = _bounded_sums(weights[half:], gain[half:], loss[half:],
-                           rhs - top_first, arity)
+                           rhs - first.vectors.max(axis=0), arity)
     np.subtract(rhs, second.vectors, out=second.vectors)
     return first, second
 
