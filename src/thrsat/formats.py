@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .model import (Assignment, Predicate, PredKind, SymmetricCircuit,
                     SymmetricGate, require_threshold)
 from .splitlist import IneqSystem, Rel, Row
@@ -226,11 +226,11 @@ def _emit_terms(terms: Sequence[tuple[int, int]], prefix: str = "") -> str:
 
 def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
     """The top line: head, then the nonzero gate weights and the direct
-    wires."""
+    wires by index, the order they read back in."""
     gate_terms = tuple((j, w) for j, w in enumerate(circuit.top_gate_weights) if w)
-    return " ".join(part for part in (head, _emit_terms(gate_terms, "g"),
-                                      _emit_terms(circuit.direct_wires, "x"))
-                    if part)
+    return " ".join(part for part in (
+        head, _emit_terms(gate_terms, "g"),
+        _emit_terms(sorted(circuit.direct_wires), "x")) if part)
 
 
 def emit_circuit(circuit: SymmetricCircuit) -> str:
@@ -253,9 +253,16 @@ def _emit_pred(pred: Predicate) -> str:
 
 
 def emit_symmetric(circuit: SymmetricCircuit) -> str:
+    """`sc2` text of a circuit; without a declared density it declares the
+    least one that covers the weighted wires, and InputError when that is
+    past the 32-bit range."""
     density = circuit.declared_density
     if density is None:
         density = -(-circuit.weighted_wires // max(circuit.n_vars, 1))
+        if density >= INT_BOUND:
+            raise InputError(f"{circuit.weighted_wires} weighted wires on "
+                             f"{circuit.n_vars} variables need a density "
+                             "past the 32-bit range")
     out = [f"sc2 {circuit.n_vars} {len(circuit.bottom)} {density}"]
     for gate in circuit.bottom:
         out.append(f"sgate {_emit_pred(gate.pred)} {_emit_terms(gate.inputs)}")

@@ -103,7 +103,8 @@ def brute_ilp(system: IneqSystem, *,
             hit = int(np.argmax(ok))
             cnt.assignments += hit + 1
             found = Assignment(tuple(int(v) for v in block[hit]), arity)
-            assert verify(system, found)
+            if not verify(system, found):
+                raise AssertionError("brute force produced a bad witness")
             return found
         cnt.assignments += width
     return None

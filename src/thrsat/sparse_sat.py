@@ -89,7 +89,8 @@ def fanin_separation(stats: WireStats, n: int, epsilon: Fraction,
     index_cap = Fraction(stats.total, n) / epsilon if epsilon > 0 else Fraction(0)
     k = Fraction(1)
     for i in itertools.count():
-        assert i <= index_cap + 1, "fan-in window scan exceeded its index bound"
+        if i > index_cap + 1:
+            raise AssertionError("fan-in window scan exceeded its index bound")
         mass = sum(f * cnt for f, cnt in stats.fanins.items() if k < f <= k * a)
         if mass <= budget:
             return k
@@ -233,7 +234,8 @@ def sat_few_gates(circuit: SymmetricCircuit, *,
         system = ilp_for_guess(circuit, mask)
         witness, _ = solve_ilp(system, counters=cnt)
         if witness is not None:
-            assert evaluate(circuit, witness), "gate guess produced a bad witness"
+            if not evaluate(circuit, witness):
+                raise AssertionError("gate guess produced a bad witness")
             return witness
     return None
 
@@ -323,6 +325,17 @@ def _steps_to(steps: Sequence[int], target: int) -> list[bool]:
     return taken[::-1]
 
 
+def _shift_or(reach: np.ndarray, words: int, bits: np.ndarray) -> None:
+    """reach |= reach << (64 * words + bits), in place, on rows of uint64
+    words with the lowest word first; bits is a (rows, 1) column of shifts
+    below 64.  numpy shifts a uint64 by 64 to 0, so a zero bit shift
+    carries nothing from the word below."""
+    n = reach.shape[1]
+    carry = reach[:, :n - words - 1] >> (np.uint64(64) - bits)
+    reach[:, words:] |= reach[:, :n - words] << bits
+    reach[:, words + 1:] |= carry
+
+
 def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
               cnt: WorkCounters) -> Optional[tuple[int, ...]]:
     """First satisfying assignment of a circuit, found by enumerating the
@@ -335,9 +348,14 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     top sum is a constant plus a gain g_i * x_i per eliminated variable.  A
     `ge` top holds somewhere in the row iff the constant plus the positive
     gains reaches its threshold, and then x_i = [g_i > 0] satisfies it.
-    Any other top is tested on every sum the row reaches: a bitset of
-    offsets above the row's least sum, spread over [0, W] for the set's
-    summed gain_bounds W, grows by one shift-or per eliminated variable.
+    Any other top is tested on every sum the row reaches.  The offsets
+    above the row's least sum lie in [0, W] for the set's summed
+    gain_bounds W, and each row keeps the reachable ones as W // 64 + 1
+    packed uint64 words; an eliminated variable whose gain_bounds entry is
+    below 64 moves them by one shift-or on the whole block, a wider one by
+    one shift-or per whole-word shift its rows take.  The top predicate,
+    tested on the (rows, W + 1) sums, is packed the same way and and-ed in;
+    the witness takes the lowest reachable offset it accepts.
     Returns the total assignment of the first satisfiable row, or None;
     cnt.assignments grows by the rows examined.  A set in which some gate
     has two inputs is refused, and so is one whose W, under a top other
@@ -405,6 +423,8 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
                out=low_sums[:, 1 << k:2 << k])
     high_shifts = np.arange(bits - low - 1, -1, -1, dtype=np.int64)
     offsets = np.arange(spread + 1, dtype=np.int64)
+    # a row's reachable offsets, bit b of word k standing for offset 64k + b
+    words = spread // 64 + 1
     for block in range(1 << (bits - low)):
         high = weights[:, :bits - low] @ ((block >> high_shifts) & 1)
         sums = low_sums + high[:, None]
@@ -418,14 +438,26 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
         else:
             steps = np.abs(gain)
             least = top + np.minimum(gain, 0).sum(axis=0)
-            reach = np.zeros((width, spread + 1), dtype=bool)
-            reach[:, 0] = True
-            for step in steps:
-                shift = offsets - step[:, None]
-                reach |= np.take_along_axis(reach, np.maximum(shift, 0),
-                                            axis=1) & (shift >= 0)
-            hits = reach & holds_columns(top_kind, top_columns,
-                                         least[:, None] + offsets)
+            reach = np.zeros((width, words), dtype=np.uint64)
+            reach[:, 0] = 1
+            for step, v in zip(steps, s_list):
+                shift = (step & 63).astype(np.uint64)[:, None]
+                # only a gain that can reach 64 shifts rows by whole words
+                if bound[v] < 64:
+                    _shift_or(reach, 0, shift)
+                    continue
+                word_shift = step >> 6
+                for q in np.unique(word_shift):
+                    rows = np.flatnonzero(word_shift == q)
+                    part = reach[rows]
+                    _shift_or(part, int(q), shift[rows])
+                    reach[rows] = part
+            accept = np.zeros((width, 8 * words), dtype=np.uint8)
+            packed = np.packbits(holds_columns(top_kind, top_columns,
+                                               least[:, None] + offsets),
+                                 axis=1, bitorder="little")
+            accept[:, :packed.shape[1]] = packed
+            hits = reach & accept.view("<u8")
             sat = hits.any(axis=1)
         if sat.any():
             hit = int(np.argmax(sat))
@@ -437,8 +469,12 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             if top_ge:
                 chosen = [bool(g > 0) for g in gain[:, hit]]
             else:
+                # the lowest reachable offset the top accepts: the lowest
+                # set bit of the first nonzero word
+                first = int(np.argmax(hits[hit] != 0))
+                word = int(hits[hit, first])
                 taken = _steps_to([int(a) for a in steps[:, hit]],
-                                  int(np.argmax(hits[hit])))
+                                  64 * first + (word & -word).bit_length() - 1)
                 # a taken step is x = 1 for a positive gain, x = 0 otherwise
                 chosen = [t != (g < 0) for t, g in zip(taken, gain[:, hit])]
             for k, v in enumerate(s_list):
@@ -481,8 +517,8 @@ def _solve_eliminating(circuit: SymmetricCircuit,
             f"2^{bits} enumerated rows exceeds the 2^{max_branch_bits} guard")
     witness_values = eliminate(circuit, eliminated, cnt)
     witness = Assignment(witness_values) if witness_values is not None else None
-    if witness is not None:
-        assert evaluate(circuit, witness), "solver produced a bad witness"
+    if witness is not None and not evaluate(circuit, witness):
+        raise AssertionError("solver produced a bad witness")
     return SolveOutcome(witness is not None, witness, 1 << bits, restriction,
                         params, cnt, eliminated)
 

@@ -286,5 +286,6 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     _decode(int(first.tags[pair[0]]), range(half), arity, values)
     _decode(int(second.tags[pair[1]]), range(half, n), arity, values)
     found = Assignment(tuple(values), arity)
-    assert verify(sys, found), "split-and-list produced an infeasible witness"
+    if not verify(sys, found):
+        raise AssertionError("split-and-list produced an infeasible witness")
     return found, cnt

@@ -153,7 +153,8 @@ def solve_boolean_linear_system(system: EqSystem, *,
                 values[var] = tag2 >> pos & 1
             for row in system.rows:
                 total = sum(w * values[i] for i, w in row.coeffs)
-                assert total == row.target, "digit packing collided"
+                if total != row.target:
+                    raise AssertionError("digit packing collided")
             return tuple(values)
     return None
 
@@ -193,8 +194,8 @@ def sat_by_value_guessing(circuit: SymmetricCircuit, *,
         values = solve_boolean_linear_system(system, counters=cnt)
         if values is not None:
             found = Assignment(values)
-            assert evaluate(circuit, found), \
-                "value guessing produced a bad witness"
+            if not evaluate(circuit, found):
+                raise AssertionError("value guessing produced a bad witness")
             return found
     return None
 

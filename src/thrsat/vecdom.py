@@ -115,5 +115,6 @@ def find_dominating_pair(a: np.ndarray, b: np.ndarray,
     if res is None:
         return None, cnt
     i, j = int(res[0]), int(res[1])
-    assert dominates(a[i], b[j]), "search returned a pair that does not dominate"
+    if not dominates(a[i], b[j]):
+        raise AssertionError("search returned a pair that does not dominate")
     return (i, j), cnt

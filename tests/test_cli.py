@@ -146,3 +146,26 @@ def test_missing_file_exits_one():
     res = run_cli("solve", "circuit", "/nonexistent/file.tc2")
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+def test_witness_checks_survive_python_O():
+    """The solvers verify every witness with an explicit raise, not an
+    `assert`, so the check holds under `python -O` too: with `eliminate`
+    patched to return a point that fails the circuit, the solve ends in
+    an error, not a SAT verdict."""
+    script = "\n".join([
+        "import sys",
+        "from thrsat import cli, sparse_sat",
+        "print('optimize', sys.flags.optimize, file=sys.stderr)",
+        "sparse_sat.eliminate = lambda circuit, chosen, cnt: "
+        "(0,) * circuit.n_vars",
+        "sys.exit(cli.main(sys.argv[1:]))"])
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    for kind, name in (("circuit", "tc_or.tc2"), ("symmetric", "sc_mixed.sc2")):
+        res = subprocess.run([sys.executable, "-O", "-c", script, "solve", kind,
+                              str(DATA / name)],
+                             capture_output=True, text=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert "optimize 1" in res.stderr
+        assert res.returncode not in (10, 20), res.stdout
+        assert "AssertionError: solver produced a bad witness" in res.stderr

@@ -1,18 +1,22 @@
 """Tests for the text formats: grammar, round-trips, and error reporting."""
 
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from thrsat.errors import ParseError
 from thrsat.formats import (emit_circuit, emit_ilp, emit_symmetric,
                             emit_witness, parse_circuit, parse_ilp,
                             parse_symmetric, parse_witness)
 from thrsat.errors import InputError
-from thrsat.model import (Assignment, Predicate, ThresholdCircuit,
-                          ThresholdGate)
+from thrsat.model import (Assignment, Predicate, SymmetricCircuit,
+                          SymmetricGate, ThresholdCircuit, ThresholdGate)
 from thrsat.oracle import (GenSpec, generate, random_ilp,
                            random_symmetric_circuit)
+from thrsat.splitlist import IneqSystem, Rel, Row
 
 
 def test_single_gate_circuit_text():
@@ -202,3 +206,137 @@ def test_witness_roundtrip():
         parse_witness("102", 3, arity=2)
     with pytest.raises(ValueError):
         emit_witness(Assignment(tuple([0] * 3), 11))
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+INT32 = st.integers(-2 ** 31, 2 ** 31 - 1)
+WEIGHT = INT32.filter(bool)
+PREDICATE = st.one_of(
+    INT32.map(Predicate.ge), INT32.map(Predicate.eq),
+    st.integers(1, 2 ** 31 - 1).flatmap(
+        lambda m: st.integers(0, m - 1).map(lambda r: Predicate.mod(m, r))),
+    st.lists(INT32, min_size=1, max_size=4, unique=True).map(Predicate.members))
+
+
+def _terms(n):
+    """Up to three `<idx>:<w>` terms on distinct variables below n."""
+    return st.lists(st.tuples(st.integers(0, n - 1), WEIGHT), max_size=3,
+                    unique_by=lambda t: t[0])
+
+
+@st.composite
+def circuits(draw, threshold):
+    n = draw(st.integers(1, 6))
+    pred = st.builds(Predicate.ge, INT32) if threshold else PREDICATE
+    gates = draw(st.lists(st.builds(SymmetricGate,
+                                    _terms(n).filter(bool), pred),
+                          max_size=4))
+    top_w = draw(st.lists(INT32, min_size=len(gates), max_size=len(gates)))
+    return SymmetricCircuit(n, gates, top_w, draw(_terms(n)), draw(pred))
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.builds(Row, _terms(n).filter(bool),
+                                   st.sampled_from(list(Rel)), INT32),
+                         max_size=4))
+    return IneqSystem(n, rows, draw(st.integers(2, 2 ** 31 - 1)))
+
+
+def _text(emit, instance):
+    """The instance's text; an `sc2` circuit whose least density is past
+    the 32-bit range has none and is refused."""
+    try:
+        return emit(instance)
+    except InputError:
+        assert -(-instance.weighted_wires // instance.n_vars) >= 2 ** 31
+        reject()
+
+
+def _canonical(circuit):
+    """The circuit as its text reads back: direct wires by index."""
+    return replace(circuit, direct_wires=tuple(sorted(circuit.direct_wires)))
+
+
+FORMATS = {
+    "circuit": (circuits(threshold=True), emit_circuit, parse_circuit),
+    "symmetric": (circuits(threshold=False), emit_symmetric, parse_symmetric),
+    "ilp": (systems(), emit_ilp, parse_ilp),
+}
+KEYWORDS = {"tc2", "sc2", "ilp", "gate", "sgate", "top", "stop", "row"}
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_emit_then_parse_round_trips(kind, data):
+    """Any instance with 32-bit integers, at the bounds included, reads back
+    from its text as itself, and its text is canonical: emitting what was
+    parsed gives the same text."""
+    strategy, emit, parse = FORMATS[kind]
+    instance = data.draw(strategy)
+    text = _text(emit, instance)
+    parsed = parse(text)
+    if kind == "symmetric":
+        assert parsed.declared_density * parsed.n_vars >= instance.weighted_wires
+        parsed = replace(parsed, declared_density=None)
+    assert parsed == (_canonical(instance) if kind != "ilp" else instance)
+    assert emit(parse(text)) == text
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       value=st.sampled_from([-2 ** 31 - 1, -2 ** 31, 2 ** 31 - 1, 2 ** 31]))
+def test_integers_at_the_32_bit_bounds(kind, data, value):
+    """One integer of a valid text, any of them after a line's keyword, is
+    set to -2^31 - 1, -2^31, 2^31 - 1 or 2^31.  Past the range the text is
+    refused on that line; inside it, it is read or refused with a line
+    number."""
+    strategy, emit, parse = FORMATS[kind]
+    lines = _text(emit, data.draw(strategy)).splitlines()
+    slots = [(k, match.start() + len(line.split()[0]), match.end()
+              + len(line.split()[0]))
+             for k, line in enumerate(lines)
+             for match in re.finditer(r"-?\d+", line[len(line.split()[0]):])]
+    k, start, end = data.draw(st.sampled_from(slots))
+    lines[k] = lines[k][:start] + str(value) + lines[k][end:]
+    try:
+        parse("\n".join(lines))
+    except ParseError as err:
+        assert 1 <= err.line <= len(lines)
+        if not -2 ** 31 <= value < 2 ** 31:
+            assert err.line == k + 1
+    else:
+        assert -2 ** 31 <= value < 2 ** 31
+
+
+# characters that neither end a line nor start a comment
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl",
+                                                        "Zp"),
+                                  blacklist_characters="#"))
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       head=LINE_TEXT.map(str.split).filter(
+           lambda t: bool(t) and t[0] not in KEYWORDS),
+       tail=LINE_TEXT)
+def test_junk_lines_are_refused_on_their_line(kind, data, head, tail):
+    """A line whose first token is no keyword, put anywhere in a valid
+    text, is refused with a ParseError on that line; any text at all is
+    read or refused with a ParseError, never another exception."""
+    strategy, emit, parse = FORMATS[kind]
+    lines = _text(emit, data.draw(strategy)).splitlines()
+    k = data.draw(st.integers(0, len(lines)))
+    lines.insert(k, " ".join(head) + " " + tail)
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines))
+    assert err.value.line == k + 1
+    try:
+        parse(data.draw(st.text()))
+    except ParseError:
+        pass

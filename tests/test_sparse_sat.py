@@ -404,6 +404,95 @@ def test_eliminate_blocks_stay_under_the_element_guard(monkeypatch):
         assert max(rows * cols for rows, cols in shapes) < 1 << 14
 
 
+def _boundary_circuit(parts, switches=3):
+    """Eliminated variables 0..k-1 and enumerated switches k, k+1, ...
+    parts[v] = (top weight, direct weight) of variable v: v feeds one gate,
+    with that top weight, that fires when v (or, for odd v, its negation)
+    and switch k + v % switches are both 1, so the gain of v is the top
+    weight, negated for odd v, in some rows and 0 in the others, plus the
+    direct weight; gain_bounds[v] is |top| + |direct|.  The first switch
+    also feeds the top directly, so the rows' least sums differ."""
+    k = len(parts)
+    gates, top_w, direct = [], [], [(k, 7)]
+    for v, (t, d) in enumerate(parts):
+        switch = k + v % switches
+        if t:
+            gates.append(ThresholdGate(((v, 1), (switch, 1)), 2) if v % 2 == 0
+                         else ThresholdGate(((v, -1), (switch, 1)), 1))
+            top_w.append(t)
+        if d:
+            direct.append((v, d))
+    return ThresholdCircuit(k + switches, gates, top_w, direct, 0)
+
+
+def _spread_parts(spread, k, rng):
+    """k (top weight, direct weight) pairs of both signs whose magnitudes
+    sum to spread."""
+    cuts = sorted(rng.sample(range(1, spread), k - 1))
+    parts = []
+    for bound in (b - a for a, b in zip([0] + cuts, cuts + [spread])):
+        t = rng.randint(0, bound)
+        parts.append((rng.choice((1, -1)) * t,
+                      rng.choice((1, -1)) * (bound - t)))
+    return parts
+
+
+def test_eliminate_reach_words_at_their_boundaries():
+    """eliminate against plain enumeration over evaluate where a row's
+    reachable offsets fill one, two, three or many 64-bit words: spreads W
+    of 62-66, 126-130 and above 1,000, gains of both signs, single steps of
+    exactly 63, 64 and 65, and within one block rows whose steps shift by
+    different whole words.  Under `eq`, `mod` and `set` tops a witness
+    must lie in the first row that reaches an accepted top sum and reach
+    the least such sum of that row; an UNSAT solve examines every row."""
+    rng = Random(64)
+    cases = [[(0, 63)], [(0, 64)], [(0, -65)], [(63, 0), (0, 2)],
+             [(-64, 0), (1, 0)], [(0, 65), (-1, 0)], [(65, 64), (-63, 0)],
+             [(64, -65), (0, 63), (-1, 1)]]
+    for spread in (62, 63, 64, 65, 66, 126, 127, 128, 129, 130, 1100, 1500):
+        cases += [_spread_parts(spread, k, rng) for k in (2, 4)]
+    widths = set()
+    for parts in cases:
+        base = _boundary_circuit(parts)
+        chosen = range(len(parts))
+        spread = sum(gain_bounds(base)[v] for v in chosen)
+        widths.add(spread // 64 + 1)
+        n = base.n_vars
+        rows = 1 << (n - len(parts))
+        # the top sums each row reaches; the rows are the switches' values
+        row_sums = {}
+        for x in itertools.product((0, 1), repeat=n):
+            row_sums.setdefault(x[len(parts):], set()).add(_top_sum(base, x))
+        reached = sorted(set().union(*row_sums.values()))
+        lo, hi, mid = reached[0], reached[-1], reached[len(reached) // 2]
+        m = hi - lo + 2
+        tops = [Predicate.eq(mid), Predicate.eq(hi), Predicate.mod(3, hi % 3),
+                Predicate.mod(64, mid % 64), Predicate.mod(65, hi % 65),
+                Predicate.members(reached[1::5]),
+                Predicate.members((lo - 1, reached[-2 if len(reached) > 1
+                                                   else -1])),
+                Predicate.eq(hi + 1), Predicate.mod(m, (hi + 1) % m),
+                Predicate.members((lo - 1, hi + 1))]
+        for top in tops:
+            circuit = replace(base, top_pred=top)
+            cnt = WorkCounters()
+            found = eliminate(circuit, chosen, cnt)
+            accepted = [sorted(s for s in row_sums[r] if top.holds(s))
+                        for r in itertools.product((0, 1), repeat=n - len(parts))]
+            first = next((k for k, sums in enumerate(accepted) if sums), None)
+            assert (found is None) == (first is None), (parts, top)
+            if found is None:
+                assert cnt.assignments == rows
+                continue
+            assert evaluate(circuit, found)
+            assert tuple(found[len(parts):]) == tuple(
+                first >> (n - len(parts) - 1 - k) & 1
+                for k in range(n - len(parts)))
+            assert _top_sum(circuit, found) == accepted[first][0], (parts, top)
+            assert cnt.assignments == first + 1
+    assert {1, 2, 3, 18, 24} <= widths
+
+
 def test_eliminate_refuses_dependent_sets():
     circuit = random_mixed_circuit(10, 16, seed=4, direct_count=3)
     gate = next(g for g in circuit.bottom if len(g.inputs) >= 2)
@@ -456,17 +545,18 @@ def _product_oracle(circuit):
                for values in itertools.product((0, 1), repeat=circuit.n_vars))
 
 
+def _top_sum(circuit, values):
+    """The top-gate sum of one point."""
+    total = sum(top_w for gate, top_w in zip(circuit.bottom,
+                                             circuit.top_gate_weights)
+                if gate.pred.holds(sum(w * values[i] for i, w in gate.inputs)))
+    return total + sum(w * values[i] for i, w in circuit.direct_wires)
+
+
 def _top_sums(circuit):
     """Every point's top-gate sum, by plain enumeration."""
-    sums = []
-    for values in itertools.product((0, 1), repeat=circuit.n_vars):
-        total = sum(top_w for gate, top_w in zip(circuit.bottom,
-                                                 circuit.top_gate_weights)
-                    if gate.pred.holds(sum(w * values[i]
-                                           for i, w in gate.inputs)))
-        total += sum(w * values[i] for i, w in circuit.direct_wires)
-        sums.append(total)
-    return sums
+    return [_top_sum(circuit, values)
+            for values in itertools.product((0, 1), repeat=circuit.n_vars)]
 
 
 @pytest.mark.parametrize("p, sizes", [
