@@ -266,6 +266,7 @@ FORMATS = {
     "ilp": (systems(), emit_ilp, parse_ilp),
 }
 KEYWORDS = {"tc2", "sc2", "ilp", "gate", "sgate", "top", "stop", "row"}
+NUMBER = re.compile(r"-?\d+")
 
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))
@@ -297,10 +298,8 @@ def test_integers_at_the_32_bit_bounds(kind, data, value):
     number."""
     strategy, emit, parse = FORMATS[kind]
     lines = _text(emit, data.draw(strategy)).splitlines()
-    slots = [(k, match.start() + len(line.split()[0]), match.end()
-              + len(line.split()[0]))
-             for k, line in enumerate(lines)
-             for match in re.finditer(r"-?\d+", line[len(line.split()[0]):])]
+    slots = [(k, match.start(), match.end()) for k, line in enumerate(lines)
+             for match in NUMBER.finditer(line, len(line.split()[0]))]
     k, start, end = data.draw(st.sampled_from(slots))
     lines[k] = lines[k][:start] + str(value) + lines[k][end:]
     try:
