@@ -8,24 +8,21 @@ from .counters import WorkCounters
 from .errors import InputError, ParseError, ResourceGuardError
 from .model import (Assignment, Predicate, Restriction, SymmetricCircuit,
                     SymmetricGate, ThresholdCircuit, ThresholdGate, evaluate,
-                    simplify, wire_stats)
+                    wire_stats)
 from .oracle import (GenSpec, brute_circuit_sat, brute_domination, brute_ilp,
                      generate)
 from .sparse_sat import SolveOutcome, solve
 from .splitlist import IneqSystem, Rel, Row, solve_ilp
-from .symsat import (EqRow, EqSystem, solve_boolean_linear_system,
-                     solve_symmetric)
+from .symsat import solve_symmetric
 from .vecdom import find_dominating_pair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "EqRow", "EqSystem", "GenSpec",
-    "IneqSystem", "InputError", "ParseError", "Predicate", "Rel",
-    "ResourceGuardError", "Restriction", "Row", "SolveOutcome",
-    "SymmetricCircuit", "SymmetricGate", "ThresholdCircuit",
+    "Assignment", "GenSpec", "IneqSystem", "InputError", "ParseError",
+    "Predicate", "Rel", "ResourceGuardError", "Restriction", "Row",
+    "SolveOutcome", "SymmetricCircuit", "SymmetricGate", "ThresholdCircuit",
     "ThresholdGate", "WorkCounters", "brute_circuit_sat", "brute_domination",
-    "brute_ilp", "evaluate", "find_dominating_pair",
-    "generate", "simplify", "solve", "solve_boolean_linear_system",
+    "brute_ilp", "evaluate", "find_dominating_pair", "generate", "solve",
     "solve_ilp", "solve_symmetric", "wire_stats", "__version__",
 ]

@@ -10,11 +10,13 @@ class WorkCounters:
 
     assignments: full or partial variable assignments enumerated
     vectors:     half-list rows handed to the dominating-pair search (only
-                 the rows that can be in a dominating pair are listed),
-                 or half keys built by the linear-system join
+                 the rows that can be in a dominating pair are listed)
     comparisons: coordinate comparisons inside pair searches and scans
-    guesses:     gate-subset or gate-value guesses tried
-    eq_solves:   linear-system solver invocations
+    guesses:     gate-output guesses tried; 0 on every current route
+    eq_solves:   equation-system solves; 0 on every current route
+
+    guesses and eq_solves stay so that the CLI counter line and the bench
+    CSV keep their columns.
     """
 
     assignments: int = 0

@@ -220,8 +220,16 @@ def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
     return _build(last, IneqSystem, n, tuple(rows), arity)
 
 
+def _num(value: int) -> str:
+    """An integer as the parsers read it back; InputError outside the
+    32-bit range they accept."""
+    if not -INT_BOUND <= value < INT_BOUND:
+        raise InputError(f"integer {value} outside the 32-bit range")
+    return str(value)
+
+
 def _emit_terms(terms: Sequence[tuple[int, int]], prefix: str = "") -> str:
-    return " ".join(f"{prefix}{i}:{w}" for i, w in terms)
+    return " ".join(f"{prefix}{_num(i)}:{_num(w)}" for i, w in terms)
 
 
 def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
@@ -235,35 +243,31 @@ def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
 
 def emit_circuit(circuit: SymmetricCircuit) -> str:
     """`tc2` text of a threshold circuit; InputError for any predicate other
-    than `ge`."""
+    than `ge` and for any integer outside the 32-bit range."""
     require_threshold(circuit, "emit_circuit")
-    out = [f"tc2 {circuit.n_vars} {len(circuit.bottom)}"]
+    out = [f"tc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))}"]
     for gate in circuit.bottom:
-        out.append(f"gate {gate.pred.params[0]} {_emit_terms(gate.inputs)}")
-    out.append(_emit_top(circuit, f"top {circuit.top_pred.params[0]}"))
+        out.append(f"gate {_num(gate.pred.params[0])} "
+                   f"{_emit_terms(gate.inputs)}")
+    out.append(_emit_top(circuit, f"top {_num(circuit.top_pred.params[0])}"))
     return "\n".join(out) + "\n"
 
 
 def _emit_pred(pred: Predicate) -> str:
-    if pred.kind in (PredKind.GE, PredKind.EQ):
-        return f"{pred.kind.value} {pred.params[0]}"
-    if pred.kind is PredKind.MOD:
-        return f"mod {pred.params[0]} {pred.params[1]}"
-    return "set " + ",".join(str(v) for v in pred.params)
+    if pred.kind is PredKind.MEMBER:
+        return "set " + ",".join(map(_num, pred.params))
+    return " ".join((pred.kind.value, *map(_num, pred.params)))
 
 
 def emit_symmetric(circuit: SymmetricCircuit) -> str:
     """`sc2` text of a circuit; without a declared density it declares the
-    least one that covers the weighted wires, and InputError when that is
-    past the 32-bit range."""
+    least one that covers the weighted wires.  InputError for any integer
+    outside the 32-bit range, a derived density included."""
     density = circuit.declared_density
     if density is None:
         density = -(-circuit.weighted_wires // max(circuit.n_vars, 1))
-        if density >= INT_BOUND:
-            raise InputError(f"{circuit.weighted_wires} weighted wires on "
-                             f"{circuit.n_vars} variables need a density "
-                             "past the 32-bit range")
-    out = [f"sc2 {circuit.n_vars} {len(circuit.bottom)} {density}"]
+    out = [f"sc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))} "
+           f"{_num(density)}"]
     for gate in circuit.bottom:
         out.append(f"sgate {_emit_pred(gate.pred)} {_emit_terms(gate.inputs)}")
     out.append(_emit_top(circuit, f"stop {_emit_pred(circuit.top_pred)}"))
@@ -271,9 +275,13 @@ def emit_symmetric(circuit: SymmetricCircuit) -> str:
 
 
 def emit_ilp(system: IneqSystem) -> str:
-    out = [f"ilp {system.n_vars} {len(system.rows)} {system.arity}"]
+    """`ilp` text of a constraint system; InputError for any integer
+    outside the 32-bit range."""
+    out = [f"ilp {_num(system.n_vars)} {_num(len(system.rows))} "
+           f"{_num(system.arity)}"]
     for row in system.rows:
-        out.append(f"row {_REL_NAMES[row.rel]} {row.rhs} {_emit_terms(row.coeffs)}")
+        out.append(f"row {_REL_NAMES[row.rel]} {_num(row.rhs)} "
+                   f"{_emit_terms(row.coeffs)}")
     return "\n".join(out) + "\n"
 
 

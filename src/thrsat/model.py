@@ -110,16 +110,6 @@ class Predicate:
             return kind, params
         return PredKind.MEMBER, tuple(v for v in (r - m, r) if -g < v < g)
 
-    def shifted(self, base: int) -> "Predicate":
-        """The predicate q with q(s) == holds(s + base), for folding constant
-        contributions out of a gate's input sum."""
-        if self.kind is PredKind.MOD:
-            m, r = self.params
-            params = (m, (r - base) % m)
-        else:
-            params = tuple(v - base for v in self.params)
-        return Predicate(self.kind, params)
-
 
 def holds_columns(kind: PredKind, columns: Sequence, sums: np.ndarray
                   ) -> np.ndarray:
@@ -294,26 +284,6 @@ class Restriction:
     def n_vars(self) -> int:
         return len(self.assigned) + len(self.free)
 
-    @property
-    def free_order(self) -> tuple[int, ...]:
-        return tuple(sorted(self.free))
-
-    def combine(self, free_values: Sequence[int]) -> tuple[int, ...]:
-        """Total assignment obtained by filling the free slots, in ascending
-        variable order, with free_values."""
-        order = self.free_order
-        if len(free_values) != len(order):
-            raise InputError("free_values length does not match the free set")
-        out = [0] * self.n_vars
-        for i, v in self.assigned.items():
-            out[i] = v
-        for pos, i in enumerate(order):
-            v = int(free_values[pos])
-            if v not in (0, 1):
-                raise InputError("free values must be Boolean")
-            out[i] = v
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class WireStats:
@@ -349,55 +319,6 @@ def evaluate(circuit: SymmetricCircuit, assignment: AssignmentLike) -> bool:
     for idx, w in circuit.direct_wires:
         total += w * values[idx]
     return circuit.top_pred.holds(total)
-
-
-def simplify(circuit: SymmetricCircuit,
-             restriction: Restriction) -> SymmetricCircuit:
-    """Fold a restriction into the circuit, producing an equivalent circuit
-    over the free variables only (re-indexed in ascending order).
-
-    Gates left with no free inputs become constants absorbed into the top
-    predicate.  Gates left with exactly one free input are equivalent to a
-    constant, the literal x, or the literal 1-x, because a Boolean input
-    only produces two sums; all three fold into the top predicate and the
-    direct wires.  Gates with two or more free inputs are kept with their
-    predicate shifted by the assigned contribution.
-    """
-    if restriction.n_vars != circuit.n_vars:
-        raise InputError("restriction size does not match the circuit")
-    assigned = restriction.assigned
-    new_index = {var: k for k, var in enumerate(restriction.free_order)}
-    kept_gates: list[SymmetricGate] = []
-    kept_weights: list[int] = []
-    direct: dict[int, int] = {}
-    top_constant = 0
-    for i, w in circuit.direct_wires:
-        if i in new_index:
-            direct[new_index[i]] = w
-        else:
-            top_constant += w * assigned[i]
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        base = sum(w * assigned[i] for i, w in gate.inputs if i in assigned)
-        free = tuple((new_index[i], w) for i, w in gate.inputs
-                     if i in new_index)
-        if not free:
-            if gate.pred.holds(base):
-                top_constant += top_w
-        elif len(free) == 1:
-            nix, w = free[0]
-            out0 = gate.pred.holds(base)
-            out1 = gate.pred.holds(base + w)
-            if out0:
-                top_constant += top_w
-            if out0 != out1:     # the gate is x (out1) or 1 - x (out0)
-                direct[nix] = direct.get(nix, 0) + (top_w if out1 else -top_w)
-        else:
-            kept_gates.append(SymmetricGate(free, gate.pred.shifted(base)))
-            kept_weights.append(top_w)
-    return SymmetricCircuit(
-        len(new_index), kept_gates, kept_weights,
-        tuple((i, w) for i, w in sorted(direct.items()) if w),
-        circuit.top_pred.shifted(top_constant))
 
 
 def wire_stats(circuit: SymmetricCircuit) -> WireStats:

@@ -3,8 +3,11 @@
 Everything here is definitional: the brute-force deciders enumerate whole
 assignment spaces (vectorized, but with no algorithmic shortcuts, and with
 their own enumeration rather than the solvers' scan), so they stay
-trustworthy at the small sizes the tests use.  The generators are
-deterministic in their seed and produce instances with exact wire budgets.
+trustworthy at the small sizes the tests use.  The generators build
+threshold and symmetric circuits, constraint systems and vector pairs; they
+are deterministic in their seed and produce circuits with exact wire
+budgets.  No circuit solver is imported: `splitlist` lends only the
+constraint-system types and its witness check.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from .errors import InputError, ResourceGuardError
 from .model import (Assignment, Predicate, SymmetricCircuit, SymmetricGate,
                     evaluate_batch)
 from .splitlist import IneqSystem, Rel, Row, verify
-from .symsat import EqRow, EqSystem
 
 MAX_BRUTE_VARS = 26
 _CHUNK = 1 << 16
@@ -329,32 +331,6 @@ def random_domination(n_a: int, n_b: int, d: int, seed: int, *,
                  for rows in (n_a, n_b))
 
 
-def random_eq_system(n: int, rows: int, seed: int, *,
-                     weight_bound: int = 8, max_row_vars: int = 4) -> EqSystem:
-    """Random exact linear system over Boolean variables.
-
-    Most rows get a target that some assignment of their own variables can
-    reach, so the joint system is feasible often enough to exercise both
-    answers.
-    """
-    if n < 1 or rows < 0:
-        raise InputError("need at least one variable and a nonnegative row count")
-    rng = Random(seed)
-    out = []
-    for _ in range(rows):
-        f = rng.randint(1, min(n, max_row_vars))
-        vars_ = sorted(rng.sample(range(n), f))
-        coeffs = tuple((i, _nonzero_weight(rng, weight_bound)) for i in vars_)
-        if rng.random() < 0.7:
-            target = sum(w for _, w in coeffs if rng.random() < 0.5)
-        else:
-            lo = sum(min(w, 0) for _, w in coeffs)
-            hi = sum(max(w, 0) for _, w in coeffs)
-            target = rng.randint(lo, hi)
-        out.append(EqRow(coeffs, target))
-    return EqSystem(n, tuple(out))
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Declarative description of a generated instance.
@@ -377,8 +353,7 @@ class GenSpec:
     distribution: str = "uniform_fanin"
     fan_in: Optional[int] = None
 
-    _KINDS = ("threshold_circuit", "symmetric_circuit", "ilp", "eq_system",
-              "vectors")
+    _KINDS = ("threshold_circuit", "symmetric_circuit", "ilp", "vectors")
     _DISTRIBUTIONS = ("uniform_fanin", "fixed_fanin", "adversarial_pow2")
 
     def __post_init__(self):
@@ -425,8 +400,5 @@ def generate(spec: GenSpec):
     if spec.kind == "ilp":
         return random_ilp(spec.n, spec.rows, spec.arity, spec.seed,
                           weight_bound=spec.weight_bound)
-    if spec.kind == "eq_system":
-        return random_eq_system(spec.n, spec.rows, spec.seed,
-                                weight_bound=spec.weight_bound)
     return random_domination(spec.n, spec.n, spec.rows, spec.seed,
                              coord_bound=8 * spec.weight_bound)

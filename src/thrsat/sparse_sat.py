@@ -12,9 +12,9 @@ the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
 more free inputs); an empty S makes the kernel a cube scan.
 
-Gate guessing with split-and-list (`sat_few_gates`) stays as library API
-for circuits with few gates.  Every witness is checked before it is
-returned.
+`ilp_for_guess` keeps the paper's reduction from a guess of which gates
+fire to a linear system for the split-and-list search.  Every witness is
+checked before it is returned.
 """
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ from .model import (ACCUMULATION_GUARD, Assignment, PredKind, Predicate,
                     Restriction, SymmetricCircuit, WireStats,
                     check_accumulation, evaluate, holds_columns,
                     require_threshold, wire_stats)
-from .splitlist import IneqSystem, Rel, Row, solve_ilp
+from .splitlist import IneqSystem, Rel, Row
 
 DEFAULT_DELTA = Fraction(1, 48)
-MAX_GUESS_GATES = 60
 MAX_BRANCH_BITS = 30
 _BLOCK_ELEMENT_BITS = 14
 _KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
@@ -138,8 +137,8 @@ def exceptional_gates(circuit: SymmetricCircuit,
                       free: Collection[int]) -> tuple[int, ...]:
     """Indices of bottom gates with at least two free inputs.
 
-    These are exactly the gates that survive folding, so their count is the
-    residual gate count of every branch under the restriction.
+    Every other gate has at most one free input, so the free variables in
+    none of these gates form a gate-independent set.
     """
     fs = frozenset(free)
     return tuple(j for j, g in enumerate(circuit.bottom)
@@ -214,30 +213,6 @@ def ilp_for_guess(circuit: SymmetricCircuit,
     rows.append(Row(circuit.direct_wires, Rel.GE,
                     circuit.top_pred.params[0] - fired_weight))
     return IneqSystem(circuit.n_vars, tuple(rows), 2)
-
-
-def sat_few_gates(circuit: SymmetricCircuit, *,
-                  counters: Optional[WorkCounters] = None,
-                  max_gates: int = MAX_GUESS_GATES) -> Optional[Assignment]:
-    """Decide satisfiability by guessing which bottom gates fire.
-
-    Each of the 2^m guesses turns the circuit into a linear system handed to
-    the split-and-list search.  Intended for circuits with few gates; the
-    guard refuses anything past max_gates.
-    """
-    cnt = counters if counters is not None else WorkCounters()
-    m = len(circuit.bottom)
-    if m > max_gates:
-        raise ResourceGuardError(f"{m} gates exceeds the {max_gates}-gate guess guard")
-    for mask in range(1 << m):
-        cnt.guesses += 1
-        system = ilp_for_guess(circuit, mask)
-        witness, _ = solve_ilp(system, counters=cnt)
-        if witness is not None:
-            if not evaluate(circuit, witness):
-                raise AssertionError("gate guess produced a bad witness")
-            return witness
-    return None
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface via subprocess, and of
+the package's public names."""
 
 import os
 import subprocess
@@ -41,6 +42,28 @@ def test_solve_unsat_exit_code():
     # both variables are eliminated: one row examined
     assert "assignments=1 " in res.stderr
     assert res.stderr.split()[-1] == "eliminated=2"
+
+
+def test_counter_line_keys_and_order():
+    """The stderr counter line keeps its keys in this order for every
+    instance kind, the counters that no route counts now included."""
+    keys = ["assignments", "vectors", "comparisons", "guesses", "eq_solves",
+            "total", "eliminated"]
+    for kind, path in CORPUS:
+        for verb in ("solve", "oracle"):
+            line = run_cli(verb, kind, str(path)).stderr.strip().splitlines()[-1]
+            head, *fields = line.split()
+            assert head == "counters:", line
+            assert [f.split("=")[0] for f in fields] == keys, line
+            assert all(f.split("=")[1].isdigit() for f in fields), line
+
+
+def test_public_names_resolve():
+    import thrsat
+
+    missing = [name for name in thrsat.__all__ if not hasattr(thrsat, name)]
+    assert not missing
+    assert len(set(thrsat.__all__)) == len(thrsat.__all__)
 
 
 def test_solve_and_oracle_agree_on_corpus():

@@ -159,6 +159,61 @@ def test_emit_circuit_refuses_non_ge_predicates():
     assert parse_circuit(emit_circuit(threshold)) == threshold
 
 
+def _refused(emit, instance, value):
+    with pytest.raises(InputError, match=str(value)):
+        emit(instance)
+
+
+def test_emit_circuit_refuses_integers_past_32_bits():
+    gate = ThresholdGate(((0, 1), (1, 1)), 1)
+    circuit = ThresholdCircuit(2, (gate,), (1,), ((1, 1),), 1)
+    for value in (1 << 70, 1 << 31, -(1 << 31) - 1):
+        bad_gate = ThresholdGate(((0, 1), (1, 1)), value)
+        _refused(emit_circuit, replace(circuit, bottom=(bad_gate,)), value)
+        _refused(emit_circuit, replace(circuit, top_pred=Predicate.ge(value)),
+                 value)
+        _refused(emit_circuit, replace(circuit, top_gate_weights=(value,)),
+                 value)
+        _refused(emit_circuit, replace(circuit, direct_wires=((0, value),)),
+                 value)
+    for value in ((1 << 31) - 1, -(1 << 31)):
+        edge = replace(circuit, bottom=(ThresholdGate(((0, value),), value),),
+                       top_gate_weights=(value,))
+        assert parse_circuit(emit_circuit(edge)) == edge
+
+
+def test_emit_symmetric_refuses_integers_past_32_bits():
+    gate = SymmetricGate(((0, 1), (1, 1)), Predicate.eq(1))
+    circuit = SymmetricCircuit(2, (gate,), (1,), (), Predicate.ge(1),
+                               declared_density=1)
+    value = 1 << 40
+    for pred, named in ((Predicate.ge(value), value),
+                        (Predicate.eq(-value), -value),
+                        (Predicate.mod(value, 1), value),
+                        (Predicate.members((0, value)), value)):
+        bad_gate = SymmetricGate(gate.inputs, pred)
+        _refused(emit_symmetric, replace(circuit, bottom=(bad_gate,)), named)
+        _refused(emit_symmetric, replace(circuit, top_pred=pred), named)
+    _refused(emit_symmetric, replace(circuit, declared_density=value), value)
+    _refused(emit_symmetric, replace(circuit, top_gate_weights=(value,)),
+             value)
+    edge = replace(circuit, top_pred=Predicate.members((-(1 << 31),
+                                                        (1 << 31) - 1)))
+    assert parse_symmetric(emit_symmetric(edge)) == edge
+
+
+def test_emit_ilp_refuses_integers_past_32_bits():
+    system = IneqSystem(2, (Row(((0, 1), (1, 1)), Rel.GE, 1),), 2)
+    value = 1 << 40
+    _refused(emit_ilp, replace(system, rows=(
+        Row(((0, value), (1, 1)), Rel.GE, 1),)), value)
+    _refused(emit_ilp, replace(system, rows=(
+        Row(((0, 1), (1, 1)), Rel.LT, -value),)), -value)
+    edge = replace(system, rows=(
+        Row(((0, (1 << 31) - 1), (1, -(1 << 31))), Rel.EQ, -(1 << 31)),))
+    assert parse_ilp(emit_ilp(edge)) == edge
+
+
 def test_extra_lines_rejected():
     with pytest.raises(ParseError) as err:
         parse_circuit("tc2 1 1\ngate 1 0:1\ntop 1 g0:1\ngate 1 0:1\n")

@@ -1,4 +1,4 @@
-"""Tests for the circuit model: validation, evaluation, and simplification."""
+"""Tests for the circuit model: validation and evaluation."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.errors import InputError
-from thrsat.model import (Assignment, Predicate, Restriction,
+from thrsat.model import (Assignment, Restriction,
                           ThresholdCircuit, ThresholdGate, evaluate,
-                          evaluate_batch, simplify, wire_stats)
+                          evaluate_batch, wire_stats)
 
 
 @st.composite
@@ -81,8 +81,6 @@ def test_assignment_validation():
 def test_restriction_partition():
     r = Restriction(assigned={0: 1, 2: 0}, free=frozenset({1}))
     assert r.n_vars == 3
-    assert r.free_order == (1,)
-    assert r.combine((1,)) == (1, 1, 0)
     with pytest.raises(InputError):
         Restriction(assigned={0: 1}, free=frozenset({0}))
     with pytest.raises(InputError):
@@ -107,29 +105,3 @@ def test_batch_matches_scalar_evaluation(circuit):
     for row, verdict in zip(rows, batch):
         assert evaluate(circuit, tuple(int(v) for v in row)) == bool(verdict)
 
-
-@given(small_circuits(), st.randoms(use_true_random=False))
-@settings(max_examples=120, deadline=None)
-def test_simplify_preserves_semantics(circuit, rng):
-    n = circuit.n_vars
-    free = frozenset(i for i in range(n) if rng.random() < 0.5)
-    assigned = {i: rng.randint(0, 1) for i in range(n) if i not in free}
-    restriction = Restriction(assigned=assigned, free=free)
-    residual = simplify(circuit, restriction)
-    assert residual.n_vars == len(free)
-    for values in all_assignments(len(free)):
-        combined = restriction.combine(values)
-        assert evaluate(residual, values) == evaluate(circuit, combined)
-
-
-def test_simplify_folds_single_input_gates():
-    # One free input left: the gate must become a direct wire or a constant.
-    gate = ThresholdGate(((0, 1), (1, 1)), 1)
-    circuit = ThresholdCircuit(2, (gate,), (3,), (), 1)
-    residual = simplify(circuit, Restriction(assigned={0: 0}, free=frozenset({1})))
-    assert residual.bottom == ()
-    assert residual.direct_wires == ((0, 3),)
-    residual = simplify(circuit, Restriction(assigned={0: 1}, free=frozenset({1})))
-    assert residual.bottom == ()
-    assert residual.direct_wires == ()
-    assert residual.top_pred == Predicate.ge(1 - 3)

@@ -13,7 +13,7 @@ from thrsat.model import PredKind, SymmetricCircuit, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
                            brute_ilp, enumerate_satisfying, generate,
                            random_domination,
-                           random_eq_system, random_fixed_fanin_circuit,
+                           random_fixed_fanin_circuit,
                            random_ilp, random_mixed_circuit,
                            random_power_circuit, random_symmetric_circuit)
 from thrsat.splitlist import verify
@@ -163,8 +163,6 @@ def test_generate_same_spec_same_instance():
 
 
 def test_generate_eq_and_vectors():
-    system = generate(GenSpec(kind="eq_system", n=8, rows=3, seed=2))
-    assert system.n_vars == 8 and len(system.rows) == 3
     a, b = generate(GenSpec(kind="vectors", n=30, rows=4, seed=2))
     assert a.shape == b.shape == (30, 4)
 
@@ -181,9 +179,3 @@ def test_genspec_validation():
     with pytest.raises(InputError):
         generate(GenSpec(kind="ilp", n=4))
 
-
-def test_eq_system_generator_bounds():
-    system = random_eq_system(10, 6, seed=3, weight_bound=4)
-    assert len(system.rows) == 6
-    for row in system.rows:
-        assert all(0 < abs(w) <= 4 for _, w in row.coeffs)

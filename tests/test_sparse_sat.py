@@ -23,7 +23,7 @@ from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction, eliminate,
                                gain_bounds, greedy_independent_set,
                                ilp_for_guess,
                                instance_seed, restriction_params,
-                               sample_restriction, sat_few_gates, solve)
+                               sample_restriction, solve)
 from thrsat.splitlist import verify
 from thrsat.symsat import solve_symmetric
 
@@ -138,23 +138,6 @@ def test_ilp_for_guess_encodes_firing_pattern():
 def test_ilp_for_guess_accepts_index_collections():
     circuit = random_mixed_circuit(5, 8, seed=7)
     assert ilp_for_guess(circuit, 0b101) == ilp_for_guess(circuit, [0, 2])
-
-
-@given(st.integers(0, 5_000))
-@settings(max_examples=80, deadline=None)
-def test_sat_few_gates_matches_brute(seed):
-    circuit = random_mixed_circuit(2 + seed % 8, 2 + seed % 6, seed=seed,
-                                   weight_bound=5)
-    witness = sat_few_gates(circuit)
-    ref = brute_circuit_sat(circuit)
-    assert (witness is None) == (ref is None)
-
-
-def test_sat_few_gates_guess_counter():
-    circuit = random_mixed_circuit(6, 6, seed=11)
-    cnt = WorkCounters()
-    sat_few_gates(circuit, counters=cnt)
-    assert cnt.guesses >= 1
 
 
 def test_instance_seed_is_stable():

@@ -1,5 +1,5 @@
-"""Tests for symmetric-gate circuits, the equation solver, and the
-free-probability analysis."""
+"""Tests for symmetric-gate circuits, the free-probability analysis, and
+the symmetric solver."""
 
 import itertools
 import math
@@ -12,32 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrsat import symsat
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError
-from thrsat.model import (Predicate, Restriction, SymmetricCircuit,
-                          SymmetricGate, evaluate, evaluate_batch, simplify)
-from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
-                           random_eq_system, random_symmetric_circuit)
+from thrsat.model import (Predicate, SymmetricCircuit, SymmetricGate,
+                          evaluate, evaluate_batch)
+from thrsat.oracle import brute_circuit_sat, random_symmetric_circuit
 from thrsat.sparse_sat import draw_restriction, greedy_independent_set
-from thrsat.symsat import (DEFAULT_KAPPA, EqRow, EqSystem, PDistribution,
-                           adversarial_densities, candidate_values, choose_p,
-                           expected_savings, grid_size, p_grid,
-                           residual_value_systems, sat_by_value_guessing,
-                           savings, solve_boolean_linear_system,
-                           solve_symmetric, wire_distribution)
+from thrsat.symsat import (DEFAULT_KAPPA, PDistribution,
+                           adversarial_densities, choose_p, expected_savings,
+                           grid_size, p_grid, savings, solve_symmetric,
+                           wire_distribution)
 
 
 def all_assignments(n):
     for x in range(1 << n):
         yield tuple((x >> (n - 1 - i)) & 1 for i in range(n))
-
-
-def brute_eq(system):
-    for values in all_assignments(system.n_vars):
-        if all(sum(w * values[i] for i, w in row.coeffs) == row.target
-               for row in system.rows):
-            return values
-    return None
 
 
 # --- predicates -------------------------------------------------------------
@@ -61,21 +51,6 @@ def test_predicate_validation():
         Predicate.members(())
     with pytest.raises(InputError):
         Predicate.members((1, 1))
-
-
-@given(st.sampled_from(["ge", "eq", "mod", "set"]),
-       st.integers(-30, 30), st.integers(-40, 40))
-@settings(max_examples=200)
-def test_shifted_matches_definition(kind, base, s):
-    if kind == "ge":
-        pred = Predicate.ge(7)
-    elif kind == "eq":
-        pred = Predicate.eq(-3)
-    elif kind == "mod":
-        pred = Predicate.mod(5, 2)
-    else:
-        pred = Predicate.members((-2, 0, 9))
-    assert pred.shifted(base).holds(s) == pred.holds(s + base)
 
 
 def test_holds_batch_matches_scalar():
@@ -154,101 +129,6 @@ def test_batch_matches_scalar(seed):
         assert evaluate(circuit, tuple(int(v) for v in row)) == bool(verdict)
 
 
-@given(st.integers(0, 10_000), st.randoms(use_true_random=False))
-@settings(max_examples=100, deadline=None)
-def test_simplify_preserves_semantics(seed, rng):
-    circuit = random_symmetric_circuit(2 + seed % 7, 2 + seed % 10, seed=seed,
-                                       weight_bound=3, direct_count=seed % 3)
-    n = circuit.n_vars
-    free = frozenset(i for i in range(n) if rng.random() < 0.5)
-    assigned = {i: rng.randint(0, 1) for i in range(n) if i not in free}
-    restriction = Restriction(assigned=assigned, free=free)
-    residual = simplify(circuit, restriction)
-    assert residual.n_vars == len(free)
-    assert all(g.fan_in >= 2 for g in residual.bottom)
-    for values in all_assignments(len(free)):
-        combined = restriction.combine(values)
-        assert evaluate(residual, values) \
-            == evaluate(circuit, combined)
-
-
-# --- value guessing ---------------------------------------------------------
-
-def test_candidate_values_superset_and_bound():
-    coeffs = ((0, 2), (1, -3), (2, 2))
-    values = candidate_values(coeffs)
-    sums = {2 * a - 3 * b + 2 * c for a in (0, 1) for b in (0, 1) for c in (0, 1)}
-    assert sums <= set(values)
-    lo, hi = -3, 4
-    assert len(values) <= min(2 ** 3, hi - lo + 1)
-
-
-def test_candidate_values_interval_for_many_vars():
-    coeffs = tuple((i, 1) for i in range(20))
-    values = candidate_values(coeffs)
-    assert values == tuple(range(0, 21))
-
-
-def test_eq_examples():
-    one_of_two = EqSystem(2, (EqRow(((0, 1), (1, 1)), 1),))
-    values = solve_boolean_linear_system(one_of_two)
-    assert values is not None and sum(values) == 1
-    assert solve_boolean_linear_system(
-        EqSystem(2, (EqRow(((0, 1), (1, 1)), 3),))) is None
-
-
-def test_eq_counts_both_half_lists():
-    # Infeasible system: both halves are enumerated in full.
-    cnt = WorkCounters()
-    system = EqSystem(5, (EqRow(((0, 1),), 2),))
-    assert solve_boolean_linear_system(system, counters=cnt) is None
-    assert cnt.vectors == 2 ** 3 + 2 ** 2
-    assert cnt.eq_solves == 1
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=150, deadline=None)
-def test_eq_matches_brute(seed):
-    system = random_eq_system(1 + seed % 10, seed % 4, seed=seed)
-    values = solve_boolean_linear_system(system)
-    ref = brute_eq(system)
-    assert (values is None) == (ref is None)
-    if values is not None:
-        for row in system.rows:
-            assert sum(w * values[i] for i, w in row.coeffs) == row.target
-
-
-def test_eq_empty_system():
-    assert solve_boolean_linear_system(EqSystem(0, ())) == ()
-    assert solve_boolean_linear_system(EqSystem(0, (EqRow((), 1),))) is None
-
-
-def test_residual_systems_cover_sat_set_exactly():
-    for seed in range(25):
-        circuit = random_symmetric_circuit(2 + seed % 7, 2 + seed % 6,
-                                           seed=seed, weight_bound=2,
-                                           direct_count=seed % 2)
-        n = circuit.n_vars
-        covered = set()
-        for _, _, system in residual_value_systems(circuit):
-            for values in all_assignments(n):
-                if all(sum(w * values[i] for i, w in row.coeffs) == row.target
-                       for row in system.rows):
-                    covered.add(values)
-        expected = set(enumerate_satisfying(circuit))
-        assert covered == expected
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=80, deadline=None)
-def test_value_guessing_matches_brute(seed):
-    circuit = random_symmetric_circuit(1 + seed % 8, 1 + seed % 8, seed=seed,
-                                       weight_bound=2)
-    witness = sat_by_value_guessing(circuit)
-    ref = brute_circuit_sat(circuit)
-    assert (witness is None) == (ref is None)
-
-
 # --- savings analysis -------------------------------------------------------
 
 def test_savings_below_knee_is_exact():
@@ -308,6 +188,35 @@ def test_choose_p_is_grid_argmax():
             if best_score is None or score > best_score:
                 best, best_score = cand, score
         assert choose_p(dens, c, kappa=8) == best
+
+
+def test_choose_p_stops_below_the_knee(monkeypatch):
+    """choose_p scores the grid from the largest p down to the first point
+    below the knee of the largest fan-in and no further, and still returns
+    the argmax of the whole grid."""
+    calls = []
+
+    def counted(p, densities, c):
+        calls.append(p)
+        return expected_savings(p, densities, c)
+
+    monkeypatch.setattr(symsat, "expected_savings", counted)
+    rng = Random(11)
+    cases = [(adversarial_densities(c), Fraction(c)) for c in (1, 2, 3)]
+    for _ in range(30):
+        dens = {rng.randint(1, 64): Fraction(rng.randint(1, 8), 8)
+                for _ in range(rng.randint(1, 5))}
+        cases.append((dens, sum(dens.values()) + Fraction(rng.randint(0, 4), 4)))
+    for dens, c in cases:
+        grid = p_grid(c)
+        scores = [expected_savings(p, dens, c) for p in grid]
+        best = grid[scores.index(max(scores))]
+        calls.clear()
+        assert choose_p(dens, c) == best
+        knee = next(k for k, p in enumerate(grid)
+                    if p * max(dens) < Fraction(1, 4) / c)
+        assert calls == list(grid[:knee + 1])
+        assert len(calls) < len(grid)
 
 
 def test_choose_p_prefers_largest_below_knee_point():
