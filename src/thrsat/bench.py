@@ -43,14 +43,6 @@ class BenchRecord:
     eq_solves: int
     empirical_exponent: float
 
-    def __post_init__(self):
-        for field_name in ("wall_time_ns", "assignments", "vectors",
-                           "comparisons", "guesses", "eq_solves"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be nonnegative")
-        if not math.isfinite(self.empirical_exponent):
-            raise ValueError("empirical exponent must be finite")
-
     def to_csv(self) -> str:
         return (f"{self.instance},{self.n},{self.c},{self.solver},"
                 f"{self.verdict},{self.wall_time_ns},{self.assignments},"

@@ -232,6 +232,14 @@ def _emit_terms(terms: Sequence[tuple[int, int]], prefix: str = "") -> str:
     return " ".join(f"{prefix}{_num(i)}:{_num(w)}" for i, w in terms)
 
 
+def _emit_inputs(terms: Sequence[tuple[int, int]], what: str, j: int) -> str:
+    """The input terms of gate or row j; InputError when it has none, a
+    line the parsers refuse."""
+    if not terms:
+        raise InputError(f"{what} {j} has no inputs")
+    return _emit_terms(terms)
+
+
 def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
     """The top line: head, then the nonzero gate weights and the direct
     wires by index, the order they read back in."""
@@ -243,12 +251,13 @@ def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
 
 def emit_circuit(circuit: SymmetricCircuit) -> str:
     """`tc2` text of a threshold circuit; InputError for any predicate other
-    than `ge` and for any integer outside the 32-bit range."""
+    than `ge`, for a gate with no inputs and for any integer outside the
+    32-bit range."""
     require_threshold(circuit, "emit_circuit")
     out = [f"tc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))}"]
-    for gate in circuit.bottom:
+    for j, gate in enumerate(circuit.bottom):
         out.append(f"gate {_num(gate.pred.params[0])} "
-                   f"{_emit_terms(gate.inputs)}")
+                   f"{_emit_inputs(gate.inputs, 'gate', j)}")
     out.append(_emit_top(circuit, f"top {_num(circuit.top_pred.params[0])}"))
     return "\n".join(out) + "\n"
 
@@ -261,27 +270,29 @@ def _emit_pred(pred: Predicate) -> str:
 
 def emit_symmetric(circuit: SymmetricCircuit) -> str:
     """`sc2` text of a circuit; without a declared density it declares the
-    least one that covers the weighted wires.  InputError for any integer
-    outside the 32-bit range, a derived density included."""
+    least one that covers the weighted wires.  InputError for a gate with no
+    inputs and for any integer outside the 32-bit range, a derived density
+    included."""
     density = circuit.declared_density
     if density is None:
         density = -(-circuit.weighted_wires // max(circuit.n_vars, 1))
     out = [f"sc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))} "
            f"{_num(density)}"]
-    for gate in circuit.bottom:
-        out.append(f"sgate {_emit_pred(gate.pred)} {_emit_terms(gate.inputs)}")
+    for j, gate in enumerate(circuit.bottom):
+        out.append(f"sgate {_emit_pred(gate.pred)} "
+                   f"{_emit_inputs(gate.inputs, 'gate', j)}")
     out.append(_emit_top(circuit, f"stop {_emit_pred(circuit.top_pred)}"))
     return "\n".join(out) + "\n"
 
 
 def emit_ilp(system: IneqSystem) -> str:
-    """`ilp` text of a constraint system; InputError for any integer
-    outside the 32-bit range."""
+    """`ilp` text of a constraint system; InputError for a row with no
+    inputs and for any integer outside the 32-bit range."""
     out = [f"ilp {_num(system.n_vars)} {_num(len(system.rows))} "
            f"{_num(system.arity)}"]
-    for row in system.rows:
+    for j, row in enumerate(system.rows):
         out.append(f"row {_REL_NAMES[row.rel]} {_num(row.rhs)} "
-                   f"{_emit_terms(row.coeffs)}")
+                   f"{_emit_inputs(row.coeffs, 'row', j)}")
     return "\n".join(out) + "\n"
 
 

@@ -1,6 +1,6 @@
 """The elimination kernel that decides every circuit of the family, the
-threshold solver, and the parts of the restriction pipeline that both
-solvers share.
+one driver behind both solvers' entry points, the threshold solver, and the
+restriction pipeline.
 
 Every solve, threshold or symmetric, is one `eliminate` call.  It
 enumerates the variables outside a gate-independent set S, one in which no
@@ -10,7 +10,9 @@ of S, so the top sum is a constant plus one term per variable of S.  By
 default S is a greedy independent set, chosen without randomness.  When
 the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
-more free inputs); an empty S makes the kernel a cube scan.
+more free inputs); an empty S makes the kernel a cube scan.  The driver
+checks the free probability p, seeds the draw and calls the kernel; the
+two entry points differ only in their default p.
 
 `ilp_for_guess` keeps the paper's reduction from a guess of which gates
 fire to a linear system for the split-and-list search.  Every witness is
@@ -46,9 +48,9 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
 class RestrictionParams:
     """Knobs of the random restriction, all derived from the wire density c.
 
-    delta is the accuracy parameter, epsilon the wire-mass budget of the
-    selected fan-in window, a the window's ratio, k its lower edge, and p the
-    probability that a variable stays free.
+    delta is the accuracy parameter, DEFAULT_DELTA, epsilon the wire-mass
+    budget of the selected fan-in window, a the window's ratio, k its lower
+    edge, and p the probability that a variable stays free.
     """
 
     c: Fraction
@@ -57,16 +59,6 @@ class RestrictionParams:
     a: Fraction
     k: Fraction
     p: Fraction
-
-    def __post_init__(self):
-        for name in ("c", "delta", "epsilon", "a", "k", "p"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not 0 < self.delta < 1:
-            raise InputError("delta must lie strictly between 0 and 1")
-        if self.k < 1:
-            raise InputError("fan-in window edge k must be at least 1")
-        if not 0 < self.p <= 1:
-            raise InputError("free probability p must lie in (0, 1]")
 
 
 def fanin_separation(stats: WireStats, n: int, epsilon: Fraction,
@@ -96,15 +88,12 @@ def fanin_separation(stats: WireStats, n: int, epsilon: Fraction,
         k *= a
 
 
-def restriction_params(circuit: SymmetricCircuit,
-                       delta: Fraction = DEFAULT_DELTA) -> RestrictionParams:
+def restriction_params(circuit: SymmetricCircuit) -> RestrictionParams:
     """Derive the restriction parameters from the circuit's wire density."""
     n = circuit.n_vars
     if n < 1:
         raise InputError("circuit must have at least one variable")
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise InputError("delta must lie strictly between 0 and 1")
+    delta = DEFAULT_DELTA
     wires = circuit.wires
     if wires == 0:
         # No bottom wires at all: every variable can stay free.
@@ -113,10 +102,7 @@ def restriction_params(circuit: SymmetricCircuit,
     c = Fraction(wires, n)
     epsilon = delta * delta / c
     a = (c * c) / (delta * delta)
-    if a <= 1:
-        k = Fraction(1)
-    else:
-        k = fanin_separation(wire_stats(circuit), n, epsilon, a)
+    k = fanin_separation(wire_stats(circuit), n, epsilon, a)
     p = min(Fraction(1), delta / (c * k))
     return RestrictionParams(c=c, delta=delta, epsilon=epsilon, a=a, k=k, p=p)
 
@@ -145,11 +131,11 @@ def exceptional_gates(circuit: SymmetricCircuit,
                  if sum(1 for i, _ in g.inputs if i in fs) >= 2)
 
 
-def sample_restriction(circuit: SymmetricCircuit, params: RestrictionParams,
+def sample_restriction(circuit: SymmetricCircuit, p: Fraction,
                        rng: Random) -> tuple[Restriction, int]:
-    """One draw at params.p and its exceptional-gate count.  The draw is kept
+    """One draw at p and its exceptional-gate count.  The draw is kept
     whatever its count: redrawing for a small count favours small free sets."""
-    r = draw_restriction(circuit, params.p, rng)
+    r = draw_restriction(circuit, p, rng)
     return r, len(exceptional_gates(circuit, r.free))
 
 
@@ -222,10 +208,10 @@ class SolveOutcome:
     eliminated is the set S that `eliminate` decided in closed form,
     ascending, and branches = 2^(n - |S|) the rows enumerated outside it;
     counters.assignments counts the rows examined, all of them when the
-    circuit is unsatisfiable.  restriction is the drawn restriction, None
-    when S is the greedy set; params holds the threshold solver's
-    restriction knobs, None when nothing was drawn and for the symmetric
-    solver, which picks only p.
+    circuit is unsatisfiable.  restriction is the one restriction drawn at
+    p, None when S is the greedy set; params holds the threshold solver's
+    `restriction_params` with the p it drew at, None when nothing was drawn
+    and for the symmetric solver, which picks only p.
     """
 
     satisfiable: bool
@@ -459,23 +445,31 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     return None
 
 
-def _solve_eliminating(circuit: SymmetricCircuit,
-                       restriction: Optional[Restriction],
+def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
+                       seed: Optional[int],
                        params: Optional[RestrictionParams],
                        max_branch_bits: int,
                        counters: Optional[WorkCounters]) -> SolveOutcome:
-    """The one route of both solvers: eliminate the greedy independent set,
-    or, under a drawn restriction, its free variables outside the
-    exceptional gates.  Under a top other than `ge`, the variables with the
-    largest gain_bounds, the highest index first among equals, leave the set
-    until its spread fits eliminate's guard."""
+    """The one route of both solvers.  With p None, eliminate the greedy
+    independent set and draw nothing.  Otherwise check 0 < p <= 1, draw one
+    restriction at p from Random(seed), or from the instance's own seed, and
+    eliminate its free variables outside the exceptional gates.  Under a top
+    other than `ge`, the variables with the largest gain_bounds, the highest
+    index first among equals, leave the set until its spread fits
+    eliminate's guard.  params is only reported."""
     cnt = counters if counters is not None else WorkCounters()
     n = circuit.n_vars
     if n < 1:
         raise InputError("circuit must have at least one variable")
-    if restriction is None:
+    if p is None:
+        restriction = None
         eliminated = greedy_independent_set(circuit)
     else:
+        p = Fraction(p)
+        if not 0 < p <= 1:
+            raise InputError("free probability p must lie in (0, 1]")
+        rng = Random(seed if seed is not None else instance_seed(circuit))
+        restriction, _ = sample_restriction(circuit, p, rng)
         # a gate outside the exceptional ones has at most one free input
         crowded = {i for j in exceptional_gates(circuit, restriction.free)
                    for i, _ in circuit.bottom[j].inputs}
@@ -499,8 +493,6 @@ def _solve_eliminating(circuit: SymmetricCircuit,
 
 
 def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
-          delta: Fraction = DEFAULT_DELTA,
-          params: Optional[RestrictionParams] = None,
           p: Optional[Fraction] = None,
           force_restriction: bool = False,
           max_branch_bits: int = MAX_BRANCH_BITS,
@@ -509,22 +501,20 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     circuit with a predicate other than `ge` is refused.
 
     Every solve is one `eliminate` call.  By default the eliminated set S is
-    `greedy_independent_set` and nothing is drawn.  When params, p or
+    `greedy_independent_set` and nothing is drawn.  When p or
     force_restriction ask for the paper's restriction, one restriction is
-    drawn (seed picks it; delta, params and p set its knobs) and S is its
-    free variables outside the exceptional gates.  The 2^(n - |S|) rows
-    outside S are enumerated, at most 2^max_branch_bits of them;
-    cnt.assignments counts the rows examined.  The returned witness, if
-    any, is verified before return.
+    drawn (seed picks it) at p, or else at `restriction_params`' p, and S
+    is its free variables outside the exceptional gates; p outside (0, 1]
+    is an InputError.  The reported params are `restriction_params` with
+    the p drawn at.  The 2^(n - |S|) rows outside S are enumerated, at most
+    2^max_branch_bits of them; cnt.assignments counts the rows examined.
+    The returned witness, if any, is verified before return.
     """
     require_threshold(circuit, "solve")
-    restriction = None
-    if params is not None or p is not None or force_restriction:
-        rng = Random(seed if seed is not None else instance_seed(circuit))
-        if params is None:
-            params = restriction_params(circuit, delta)
+    params = None
+    if p is not None or force_restriction:
+        params = restriction_params(circuit)
         if p is not None:
             params = replace(params, p=Fraction(p))
-        restriction, _ = sample_restriction(circuit, params, rng)
-    return _solve_eliminating(circuit, restriction, params, max_branch_bits,
-                              counters)
+    return _solve_eliminating(circuit, None if params is None else params.p,
+                              seed, params, max_branch_bits, counters)

@@ -2,27 +2,25 @@
 
 Gates apply an arbitrary predicate (threshold, equality, congruence, or
 membership in a finite set) to an integer-weighted sum of their inputs, and
-so does the top gate; the circuit model lives in `thrsat.model`.  The solver
-takes the threshold solver's one route, `sparse_sat.eliminate`, which
-decides every predicate kind: if no gate has two inputs in the eliminated
-set, each gate is a function of at most one of its variables whatever its
-predicate.  The only difference is how a requested restriction picks its
-free probability p: by maximizing an exact savings score over a geometric
-grid.
+so does the top gate; the circuit model lives in `thrsat.model`.
+`solve_symmetric` hands every solve to the threshold solver's driver in
+`thrsat.sparse_sat`, which checks p, seeds and draws the restriction, and
+calls `eliminate`; that kernel decides every predicate kind: if no gate has
+two inputs in the eliminated set, each gate is a function of at most one of
+its variables whatever its predicate.  The only difference is the default
+free probability p of a requested restriction: the argmax of an exact
+savings score over a geometric grid, `choose_p`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional
 
 from .counters import WorkCounters
 from .errors import InputError
 from .model import SymmetricCircuit
-from .sparse_sat import (MAX_BRANCH_BITS, SolveOutcome, _solve_eliminating,
-                         draw_restriction, instance_seed)
+from .sparse_sat import MAX_BRANCH_BITS, SolveOutcome, _solve_eliminating
 
 DEFAULT_KAPPA = 64
 
@@ -123,42 +121,6 @@ def choose_p(densities: dict[int, Fraction], c: Fraction,
     return best_p
 
 
-@dataclass(frozen=True)
-class PDistribution:
-    """A distribution over the p grid that loads most mass on the small end.
-
-    The mass at the i-th grid point (p = 2^-i) is proportional to 2^i, scaled
-    by a normalizer in (1, 2] so the masses sum to one exactly.
-    """
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(
-            (Fraction(p), Fraction(m)) for p, m in self.points))
-        if self.points and sum(m for _, m in self.points) != 1:
-            raise InputError("masses must sum to one")
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def for_density(cls, c: Fraction, kappa: int = DEFAULT_KAPPA) -> "PDistribution":
-        size = grid_size(c, kappa)
-        if size == 0:
-            return cls(((Fraction(1), Fraction(1)),))
-        scale = Fraction(1 << size, (1 << size) - 1)
-        return cls(tuple((Fraction(1, 1 << i),
-                          scale * Fraction(1, 1 << (size - i + 1)))
-                         for i in range(1, size + 1)))
-
-    def mean_savings(self, densities: dict[int, Fraction],
-                     c: Fraction) -> Fraction:
-        return sum(m * expected_savings(p, densities, c)
-                   for p, m in self.points)
-
-
 def adversarial_densities(c: int) -> dict[int, Fraction]:
     """The wire distribution that stresses the grid hardest: one density unit
     at every power-of-two weighted fan-in up to 2^c."""
@@ -186,23 +148,20 @@ def solve_symmetric(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
                     counters: Optional[WorkCounters] = None) -> SolveOutcome:
     """Decide satisfiability of a symmetric depth-two circuit, exactly.
 
-    The route is `solve`'s: one `eliminate` call.  By default the eliminated
-    set S is `greedy_independent_set` and nothing is drawn.  When p or
-    force_restriction ask for the paper's restriction, one restriction is
-    drawn (seed picks it) at p, or else at the grid argmax of the expected
-    savings for this circuit's wire distribution, and S is its free
-    variables outside the exceptional gates.  Under a top predicate other
-    than `ge` the variables that widen the top sum most leave S until
-    eliminate's guard admits it.  The 2^(n - |S|) rows outside S are
-    enumerated, at most 2^max_branch_bits of them; cnt.assignments counts
-    the rows examined.  The returned witness, if any, is verified.
+    The route and the keywords are `solve`'s: one `eliminate` call.  By
+    default the eliminated set S is `greedy_independent_set` and nothing is
+    drawn.  When p or force_restriction ask for the paper's restriction, one
+    restriction is drawn (seed picks it) at p, or else at the grid argmax of
+    the expected savings for this circuit's wire distribution, and S is its
+    free variables outside the exceptional gates; p outside (0, 1] is an
+    InputError.  Under a top predicate other than `ge` the variables that
+    widen the top sum most leave S until eliminate's guard admits it.  The
+    2^(n - |S|) rows outside S are enumerated, at most 2^max_branch_bits of
+    them; cnt.assignments counts the rows examined.  params is None: only p
+    is chosen.  The returned witness, if any, is verified.
     """
-    restriction = None
-    if p is not None or force_restriction:
-        if p is None:
-            densities = wire_distribution(circuit)
-            p = choose_p(densities, sum(densities.values(), Fraction(0)))
-        rng = Random(seed if seed is not None else instance_seed(circuit))
-        restriction = draw_restriction(circuit, Fraction(p), rng)
-    return _solve_eliminating(circuit, restriction, None, max_branch_bits,
+    if p is None and force_restriction:
+        densities = wire_distribution(circuit)
+        p = choose_p(densities, sum(densities.values(), Fraction(0)))
+    return _solve_eliminating(circuit, p, seed, None, max_branch_bits,
                               counters)

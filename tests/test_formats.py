@@ -214,6 +214,34 @@ def test_emit_ilp_refuses_integers_past_32_bits():
     assert parse_ilp(emit_ilp(edge)) == edge
 
 
+def test_emit_circuit_refuses_a_gate_with_no_inputs():
+    gates = (ThresholdGate(((0, 1),), 1), SymmetricGate((), Predicate.ge(0)))
+    circuit = ThresholdCircuit(2, gates, (1, 1), (), 1)
+    with pytest.raises(InputError, match="gate 1 has no inputs"):
+        emit_circuit(circuit)
+    with pytest.raises(ParseError, match="no inputs"):
+        parse_circuit("tc2 2 2\ngate 1 0:1\ngate 0\ntop 1 g0:1 g1:1\n")
+
+
+def test_emit_symmetric_refuses_a_gate_with_no_inputs():
+    gates = (SymmetricGate((), Predicate.eq(0)),
+             SymmetricGate(((1, 1),), Predicate.mod(2, 1)))
+    circuit = SymmetricCircuit(2, gates, (1, 1), (), Predicate.ge(1))
+    with pytest.raises(InputError, match="gate 0 has no inputs"):
+        emit_symmetric(circuit)
+    with pytest.raises(ParseError, match="no inputs"):
+        parse_symmetric("sc2 2 1 1\nsgate eq 0\nstop ge 1 g0:1\n")
+
+
+def test_emit_ilp_refuses_a_row_with_no_inputs():
+    rows = (Row(((0, 1),), Rel.GE, 1), Row(((1, 2),), Rel.LE, 1),
+            Row((), Rel.GE, 0))
+    with pytest.raises(InputError, match="row 2 has no inputs"):
+        emit_ilp(IneqSystem(2, rows, 2))
+    with pytest.raises(ParseError):
+        parse_ilp("ilp 2 1 2\nrow ge 0\n")
+
+
 def test_extra_lines_rejected():
     with pytest.raises(ParseError) as err:
         parse_circuit("tc2 1 1\ngate 1 0:1\ntop 1 g0:1\ngate 1 0:1\n")

@@ -99,7 +99,7 @@ def test_exceptional_gates_counts_two_free_inputs():
 def test_sample_restriction_reports_count():
     circuit = random_mixed_circuit(16, 32, seed=9)
     params = restriction_params(circuit)
-    restriction, exc = sample_restriction(circuit, params, Random(0))
+    restriction, exc = sample_restriction(circuit, params.p, Random(0))
     assert exc == len(exceptional_gates(circuit, restriction.free))
 
 
@@ -112,7 +112,7 @@ def test_sample_restriction_keeps_the_first_draw():
     cap = 6 * params.delta * params.p * circuit.n_vars
     seed = next(s for s in range(100) if len(exceptional_gates(
         circuit, draw_restriction(circuit, params.p, Random(s)).free)) > cap)
-    restriction, exc = sample_restriction(circuit, params, Random(seed))
+    restriction, exc = sample_restriction(circuit, params.p, Random(seed))
     first = draw_restriction(circuit, params.p, Random(seed))
     assert restriction.free == first.free
     assert exc == len(exceptional_gates(circuit, first.free)) > cap
@@ -519,6 +519,42 @@ def test_solve_p_third_matches_brute():
         assert outcome.satisfiable == (brute_circuit_sat(circuit) is not None)
         if outcome.witness is not None:
             assert evaluate(circuit, outcome.witness)
+
+
+@pytest.mark.parametrize("solver", [solve, solve_symmetric])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(-1), Fraction(3, 2)])
+def test_solvers_refuse_p_outside_the_unit_interval(solver, p):
+    circuit = random_mixed_circuit(8, 12, seed=1)
+    with pytest.raises(InputError):
+        solver(circuit, seed=0, p=p)
+
+
+def test_solvers_share_one_draw(monkeypatch):
+    """On a threshold circuit both entry points reach the one driver: with
+    the same p and seed, given or derived from the instance, they draw the
+    same restriction through sample_restriction and return the same
+    eliminated set and witness."""
+    draws = []
+
+    def counted(circuit, p, rng):
+        draws.append(p)
+        return sample_restriction(circuit, p, rng)
+
+    monkeypatch.setattr(sparse_sat, "sample_restriction", counted)
+    verdicts = set()
+    for seed in range(12):
+        circuit = random_mixed_circuit(10, 20, seed=seed, direct_count=2)
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            for given_seed in (seed, None):
+                a = solve(circuit, seed=given_seed, p=p)
+                b = solve_symmetric(circuit, seed=given_seed, p=p)
+                assert a.restriction.free == b.restriction.free
+                assert a.eliminated == b.eliminated
+                assert a.witness == b.witness
+                verdicts.add(a.satisfiable)
+    assert verdicts == {False, True}
+    # 12 circuits, 3 p values, 2 seeds, 2 solvers
+    assert len(draws) == 12 * 3 * 2 * 2
 
 
 def _product_oracle(circuit):

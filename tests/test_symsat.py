@@ -19,10 +19,9 @@ from thrsat.model import (Predicate, SymmetricCircuit, SymmetricGate,
                           evaluate, evaluate_batch)
 from thrsat.oracle import brute_circuit_sat, random_symmetric_circuit
 from thrsat.sparse_sat import draw_restriction, greedy_independent_set
-from thrsat.symsat import (DEFAULT_KAPPA, PDistribution,
-                           adversarial_densities, choose_p, expected_savings,
-                           grid_size, p_grid, savings, solve_symmetric,
-                           wire_distribution)
+from thrsat.symsat import (DEFAULT_KAPPA, adversarial_densities, choose_p,
+                           expected_savings, grid_size, p_grid, savings,
+                           solve_symmetric, wire_distribution)
 
 
 def all_assignments(n):
@@ -228,18 +227,6 @@ def test_choose_p_prefers_largest_below_knee_point():
     assert choose_p({}, c) == Fraction(1)
 
 
-def test_pdistribution_masses():
-    dist = PDistribution.for_density(Fraction(1), kappa=4)
-    assert dist.size == 4
-    assert sum(m for _, m in dist.points) == 1
-    ps = [p for p, _ in dist.points]
-    assert ps == list(p_grid(Fraction(1), 4))
-    # Mass doubles at each smaller p.
-    masses = [m for _, m in dist.points]
-    for a, b in zip(masses, masses[1:]):
-        assert b == 2 * a
-
-
 def test_adversarial_densities_structure():
     dens = adversarial_densities(3)
     assert dens == {2: Fraction(1), 4: Fraction(1), 8: Fraction(1)}
@@ -252,12 +239,6 @@ def test_adversarial_tightness_small_grids():
         dens = adversarial_densities(c)
         for p in p_grid(Fraction(c)):
             assert expected_savings(p, dens, Fraction(c)) <= p / 2
-
-
-def test_calibration_positive_mean():
-    for c in (1, 2):
-        dist = PDistribution.for_density(Fraction(c))
-        assert dist.mean_savings(adversarial_densities(c), Fraction(c)) > 0
 
 
 def test_wire_distribution():
