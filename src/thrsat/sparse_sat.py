@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
@@ -111,10 +112,14 @@ def draw_restriction(circuit: SymmetricCircuit, p: Fraction,
                      rng: Random) -> Restriction:
     """One unbiased draw: each variable stays free with probability p.
 
-    Assigned slots are filled with 0: only the free set matters, since the
-    solvers enumerate every assignment outside the set they eliminate.
+    rng.random() returns a multiple of 2^-53, so it is below p exactly when
+    it is below the float ceil(p * 2^53) / 2^53: the draw compares floats
+    and frees the same variables as a comparison with p itself.  Assigned
+    slots are filled with 0: only the free set matters, since the solvers
+    enumerate every assignment outside the set they eliminate.
     """
-    free = frozenset(i for i in range(circuit.n_vars) if rng.random() < p)
+    below = math.ceil(p * 2 ** 53) / 2 ** 53
+    free = frozenset(i for i in range(circuit.n_vars) if rng.random() < below)
     assigned = {i: 0 for i in range(circuit.n_vars) if i not in free}
     return Restriction(assigned=assigned, free=free)
 

@@ -3,11 +3,12 @@
 Every row is first rewritten as 'sum >= rhs' (a strict row becomes the
 non-strict row with rhs + 1, an equality two opposite rows).  The variables
 are then split into two halves and the assignments to each half are listed
-as an int64 matrix with one tag per row, the half assignment it encodes.
-The first half's matrix holds row contributions, the second's row slacks
-(rhs minus contribution).  The system is feasible exactly when some
-contribution row dominates some slack row, which the non-strict vecdom
-search decides without comparing all pairs.
+as an int64 matrix with one tag per row, the half assignment it encodes;
+the matrix and the tags are one table.  The first half's matrix holds row
+contributions, the second's row slacks (rhs minus contribution).  The
+system is feasible exactly when some contribution row dominates some slack
+row, which the non-strict vecdom search decides without comparing all
+pairs.
 
 Only rows that can be in a dominating pair are listed, the bound step of
 offline dominance (Bentley, CACM 1980).  A first-half row below rhs_j minus
@@ -153,65 +154,66 @@ def _decode(tag: int, var_indices: Sequence[int], arity: int, out: list[int]) ->
 class HalfList(NamedTuple):
     """One half's listed rows: vectors[r] belongs to the half assignment
     tags[r], whose pos-th variable takes digit (tags[r] // arity^pos) % arity.
-    Tags increase down the list."""
+    Tags increase down the list.  Both are views of one (d + 1, rows) table
+    with a column per listed assignment and the tag in its last row: vectors
+    is the transpose of the first d rows, tags the last row."""
     vectors: np.ndarray  # (rows, len(normalized rows)) int64
     tags: np.ndarray     # (rows,) int64
 
 
-def _grow(buf: np.ndarray, size: int, step: Union[np.ndarray, int],
-          arity: int) -> np.ndarray:
-    """Extend buf[:size] to arity * size rows, row digit * size + r holding
-    buf[r] + digit * step; buf is reallocated only when it is too short."""
-    if arity * size > len(buf):
-        grown = np.empty((arity * size,) + buf.shape[1:], dtype=np.int64)
-        grown[:size] = buf[:size]
-        buf = grown
-    for digit in range(1, arity):
-        np.add(buf[:size], digit * step, out=buf[digit * size:(digit + 1) * size])
-    return buf
+def _grow(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Extend the (d + 1, size) table by one variable: column digit * size + r
+    of the result is table[:, r] + offsets[:, digit]."""
+    return (table[:, None, :] + offsets[:, :, None]).reshape(len(table), -1)
 
 
 def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
-                  floor: np.ndarray, arity: int) -> HalfList:
+                  floor: np.ndarray, arity: int) -> np.ndarray:
     """The assignments to the h variables of weights (h, d) whose row sums
-    reach floor in every row, with those sums.  gain and loss are
+    reach floor in every row, as one (d + 1, rows) table: one column per
+    assignment, its row sums and then its tag.  gain and loss are
     max(0, (arity - 1) * weights) and min(0, (arity - 1) * weights).
 
     The variables are added one at a time by _grow, the last added the
-    most significant digit of the tag.  After k of them a partial row is
-    dropped once its sum plus the largest completion, the remaining
-    variables' gain, falls below floor in some row.  The least partial sum
-    plus that completion only shrinks with k, so the levels where no row
-    can fall short come first and skip the test.  They fill one table
-    allocated at the first tested level's size, and until the first test
-    a row's index is its tag.
+    most significant digit of the tag, so the tag row grows by
+    arity^(k-1) with the k-th variable and tags increase along the table.
+    After k of them a partial sum is dropped once it plus the largest
+    completion, the remaining variables' gain, falls below floor in some
+    row.  The least partial sum plus that completion only shrinks with k,
+    so the levels where none can fall short come first and are not
+    filtered.  From the first level where one can, the table is filtered
+    there, at the last level, and in between once it has grown 4x since
+    the last filter.  Skipping a level's filter drops nothing that a later
+    filter keeps: a child's sum plus the remaining gain is at most its
+    parent's.  With a column per assignment, every numpy step on the table
+    (growth, the bound test, the compaction, half_lists' column maximum)
+    runs along long contiguous rows, not one short loop per assignment.
     """
     h, d = weights.shape
     room = np.zeros((h + 1, d), dtype=np.int64)
     room[:h] = np.cumsum(gain[::-1], axis=0)[::-1]
     least = np.zeros((h + 1, d), dtype=np.int64)
     least[1:] = np.cumsum(loss, axis=0)
-    short = (least + room < floor).any(axis=1)
+    bound = floor - room
+    short = (least < bound).any(axis=1)
     start = int(np.argmax(short)) if short.any() else h + 1
-    table = np.empty((arity ** min(start, h), d), dtype=np.int64)
-    table[0] = 0
-    tags = None
-    size = 1
+    steps = np.empty((h, d + 1), dtype=np.int64)
+    steps[:, :d] = weights
+    steps[:, d] = arity ** np.arange(h, dtype=np.int64)
+    offsets = steps[:, :, None] * np.arange(arity)
+    table = np.zeros((d + 1, 1), dtype=np.int64)
+    filtered = 1
     for k in range(h + 1):
         if k:
-            table = _grow(table, size, weights[k - 1], arity)
-            if tags is not None:
-                tags = _grow(tags, size, arity ** (k - 1), arity)
-            size *= arity
-        if k >= start:
-            # from the first test on, table and tags hold exactly size rows
-            keep = (table >= floor - room[k]).all(axis=1)
-            table = table[keep]
-            tags = np.flatnonzero(keep) if tags is None else tags[keep]
-            size = len(table)
-            if not size:
+            table = _grow(table, offsets[k - 1])
+        size = table.shape[1]
+        if k == start or k > start and (k == h or size >= 4 * filtered):
+            keep = (table[:d] >= bound[k, :, None]).all(axis=0)
+            table = np.compress(keep, table, axis=1)
+            filtered = table.shape[1]
+            if not filtered:
                 break
-    return HalfList(table, np.arange(size) if tags is None else tags)
+    return table
 
 
 def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
@@ -239,13 +241,13 @@ def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
     gain, loss = np.maximum(scaled, 0), np.minimum(scaled, 0)
     first = _bounded_sums(weights[:half], gain[:half], loss[:half],
                           rhs - gain[half:].sum(axis=0), arity)
-    if not len(first.vectors):
-        return first, HalfList(np.zeros((0, len(rows)), dtype=np.int64),
-                               np.zeros(0, dtype=np.int64))
-    second = _bounded_sums(weights[half:], gain[half:], loss[half:],
-                           rhs - first.vectors.max(axis=0), arity)
-    np.subtract(rhs, second.vectors, out=second.vectors)
-    return first, second
+    if first.shape[1]:
+        second = _bounded_sums(weights[half:], gain[half:], loss[half:],
+                               rhs - first[:-1].max(axis=1), arity)
+        np.subtract(rhs[:, None], second[:-1], out=second[:-1])
+    else:
+        second = first
+    return HalfList(first[:-1].T, first[-1]), HalfList(second[:-1].T, second[-1])
 
 
 def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,

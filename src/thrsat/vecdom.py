@@ -4,12 +4,19 @@ Given an (N_a, d) matrix A and an (N_b, d) matrix B of int64 entries, find a
 row u of A and a row v of B with u >= v in every coordinate; the answer is
 the pair of row indices.  The search is non-strict only: a strict constraint
 x > y over the integers is x >= y + 1, which is how splitlist rewrites its
-strict rows.  The search splits on the median of the current coordinate:
-pairs entirely above or entirely below the median recurse at the same
-coordinate, while pairs already decided on that coordinate recurse with the
-coordinate dropped; the last coordinate is decided by comparing the maximum
-over A with the minimum over B.  The recursion carries index arrays into the
-two matrices and copies no rows.  Work is near-linear for fixed d.
+strict rows.  A node first reads the bounds of its current coordinate.  If
+A's maximum there is below B's minimum the coordinate is dead and the node
+holds no pair; if A's minimum reaches B's maximum the coordinate is settled,
+every pair holds it, and the node moves on to the next coordinate with no
+median and no child.  Otherwise the search splits on the median of the
+coordinate: pairs entirely above or entirely below the median recurse at the
+same coordinate, while pairs already decided on that coordinate recurse with
+the coordinate dropped.  A child with an empty side holds no pair and is
+counted as a node of the recursion tree without being searched.  The last
+coordinate is decided by comparing the maximum over A with the minimum over
+B.  The recursion carries index arrays into the two matrices, reads one
+coordinate at a time from their transposes, and copies no rows.  Work is
+near-linear for fixed d.
 """
 from __future__ import annotations
 
@@ -47,25 +54,30 @@ def count_bound(n: int, d: int) -> int:
 
 def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
             c0: int, cnt: VecdomCounters, depth: int, depth_limit: int):
+    """Search the rows ia of A against the rows ib of B, both nonempty, on
+    the coordinates from c0 on.  a and b are A and B transposed, (d, rows),
+    so that a coordinate's entries are one row."""
     cnt.recursion_nodes += 1
     if depth > depth_limit:
         raise AssertionError("domination search exceeded its depth guard")
-    if not len(ia) or not len(ib):
-        return None
-    if c0 == a.shape[1]:
-        # every coordinate already decided above this point
-        return ia[0], ib[0]
-    xa = a[ia, c0]
-    xb = b[ib, c0]
-    cnt.comparisons += len(ia) + len(ib)
-    if c0 == a.shape[1] - 1:
-        # a pair exists iff max(xa) >= min(xb); of the A rows that reach the
-        # first minimum of xb, take the smallest (the first on ties)
-        j = int(np.argmin(xb))
-        reach = np.flatnonzero(xa >= xb[j])
-        if not len(reach):
-            return None
-        return ia[reach[np.argmin(xa[reach])]], ib[j]
+    last = len(a) - 1
+    while True:
+        xa = a[c0][ia]
+        xb = b[c0][ib]
+        cnt.comparisons += len(ia) + len(ib)
+        if c0 == last:
+            # a pair exists iff max(xa) >= min(xb); of the A rows that reach
+            # the first minimum of xb, take the smallest (the first on ties)
+            j = int(np.argmin(xb))
+            reach = np.flatnonzero(xa >= xb[j])
+            if not len(reach):
+                return None
+            return ia[reach[np.argmin(xa[reach])]], ib[j]
+        if xa.max() < xb.min():
+            return None  # a dead coordinate: no pair holds it
+        if xa.min() < xb.max():
+            break
+        c0 += 1  # a settled coordinate: every pair holds it
 
     values = np.concatenate((xa, xb))
     k = len(values) // 2
@@ -75,17 +87,26 @@ def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     a_up, a_down = xa > med, xa < med
     b_up, b_down = xb > med, xb < med
 
-    res = _search(a, b, ia[a_up], ib[b_up], c0, cnt, depth + 1, depth_limit)
+    res = _child(a, b, ia[a_up], ib[b_up], c0, cnt, depth, depth_limit)
     if res is None:
         a_eq = ~(a_up | a_down)
         b_eq = ~(b_up | b_down)
-        res = _search(a, b, np.concatenate((ia[a_eq], ia[a_up])),
-                      np.concatenate((ib[b_eq], ib[b_down])), c0 + 1, cnt,
-                      depth + 1, depth_limit)
+        res = _child(a, b, np.concatenate((ia[a_eq], ia[a_up])),
+                     np.concatenate((ib[b_eq], ib[b_down])), c0 + 1, cnt,
+                     depth, depth_limit)
     if res is None:
-        res = _search(a, b, ia[a_down], ib[b_down], c0, cnt, depth + 1,
-                      depth_limit)
+        res = _child(a, b, ia[a_down], ib[b_down], c0, cnt, depth, depth_limit)
     return res
+
+
+def _child(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+           c0: int, cnt: VecdomCounters, depth: int, depth_limit: int):
+    """Search a child of the node at depth; a child with an empty side holds
+    no pair and is counted as a node without a call."""
+    if not len(ia) or not len(ib):
+        cnt.recursion_nodes += 1
+        return None
+    return _search(a, b, ia, ib, c0, cnt, depth + 1, depth_limit)
 
 
 def find_dominating_pair(a: np.ndarray, b: np.ndarray,
@@ -110,7 +131,7 @@ def find_dominating_pair(a: np.ndarray, b: np.ndarray,
     if d < 1:
         raise InputError("dimension must be at least 1 when both sides are nonempty")
     depth_limit = (len(a) + len(b)).bit_length() + d + 8
-    res = _search(a, b, np.arange(len(a)), np.arange(len(b)), 0, cnt, 0,
+    res = _search(a.T, b.T, np.arange(len(a)), np.arange(len(b)), 0, cnt, 0,
                   depth_limit)
     if res is None:
         return None, cnt

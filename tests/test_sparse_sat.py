@@ -1,6 +1,7 @@
 """Tests for the restriction pipeline on threshold circuits."""
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -84,6 +85,32 @@ def test_draw_restriction_free_rate():
     mean = free_total / draws
     # Binomial(40, 1/4): mean 10, sd ~2.74; allow 4 standard errors.
     assert abs(mean - 10) < 4 * 2.74 / draws ** 0.5
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 4), Fraction(1, 2),
+                               Fraction(2, 7), Fraction(1, 110592), Fraction(1)])
+def test_draw_restriction_frees_as_the_exact_comparison(p):
+    """The draw compares random() with a float threshold; the free set is
+    the one the comparison with the fraction p gives, over many seeds and
+    at the multiples of 2^-53 just below, at and above p * 2^53."""
+    circuit = random_mixed_circuit(20, 20, seed=3)
+    for seed in range(2000):
+        rng = Random(seed)
+        want = [i for i in range(circuit.n_vars) if rng.random() < p]
+        assert sorted(draw_restriction(circuit, p, Random(seed)).free) == want
+
+    class Replay:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def random(self):
+            return next(self.values)
+
+    edge = math.ceil(p * 2 ** 53)
+    values = [m / 2 ** 53 for m in range(edge - 2, edge + 2) if 0 <= m < 2 ** 53]
+    values += [0.0] * (circuit.n_vars - len(values))
+    want = [i for i, x in enumerate(values) if x < p]
+    assert sorted(draw_restriction(circuit, p, Replay(values)).free) == want
 
 
 def test_exceptional_gates_counts_two_free_inputs():

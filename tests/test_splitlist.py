@@ -168,7 +168,7 @@ def test_half_lists_prune_to_reachable_rows():
 
 
 @pytest.mark.parametrize("n, arity", [(5, 2), (7, 2), (5, 3), (3, 3), (6, 4),
-                                      (9, 2)])
+                                      (9, 2), (14, 2), (15, 2), (15, 3)])
 def test_half_table_encoding(n, arity):
     """Every listed tag decodes to its row sums (slacks for the second
     half), and the lists hold exactly the half assignments that reach the

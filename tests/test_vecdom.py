@@ -64,14 +64,19 @@ def test_matches_brute_nonstrict(seed):
 
 @st.composite
 def tied_instances(draw):
-    """Coordinates in [-2, 2], so most comparisons are ties, and some
-    columns holding one value on both sides."""
+    """Coordinates in [-2, 2], so most comparisons are ties, some columns
+    holding one value on both sides (every pair holds them), and some
+    columns with every B entry lifted to A's maximum or one past it (no
+    pair holds them, or only the pairs that meet at A's maximum)."""
     d = draw(st.integers(1, 6))
     coords = st.integers(-2, 2)
     a = draw(arrays(np.int64, (draw(st.integers(0, 14)), d), elements=coords))
     b = draw(arrays(np.int64, (draw(st.integers(0, 14)), d), elements=coords))
     for col in draw(st.sets(st.integers(0, d - 1))):
         a[:, col] = b[:, col] = draw(coords)
+    if len(a) and len(b):
+        for col in draw(st.sets(st.integers(0, d - 1))):
+            b[:, col] += a[:, col].max() - b[:, col].min() + draw(st.integers(0, 1))
     return a, b
 
 
