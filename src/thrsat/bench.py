@@ -87,33 +87,34 @@ def _bench_circuit_solver(count: int, n: int, c: int, seed: int,
 
 def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
                    fan_in: Optional[int] = None,
-                   weight_bound: int = 8,
                    force_restriction: bool = False) -> list[BenchRecord]:
-    """Threshold-circuit suite through the restriction solver."""
+    """Threshold-circuit suite through the restriction solver, with weights of
+    absolute value at most 8."""
     dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
     return _bench_circuit_solver(
         count, n, c, seed, force_restriction, "tc", "solve", solve,
-        kind="threshold_circuit", weight_bound=weight_bound,
+        kind="threshold_circuit", weight_bound=8,
         distribution=dist, fan_in=fan_in)
 
 
 def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
-                    weight_bound: int = 3,
                     force_restriction: bool = False) -> list[BenchRecord]:
     """Symmetric-circuit suite through solve_symmetric, whose one route is
-    the elimination kernel the threshold solver uses."""
+    the elimination kernel the threshold solver uses, with weights of
+    absolute value at most 3."""
     return _bench_circuit_solver(
         count, n, c, seed, force_restriction, "sc", "solve_symmetric",
-        solve_symmetric, kind="symmetric_circuit", weight_bound=weight_bound)
+        solve_symmetric, kind="symmetric_circuit", weight_bound=3)
 
 
 def bench_ilp(count: int, n: int, rows: int, *, arity: int = 2,
-              seed: int = 0, weight_bound: int = 8) -> list[BenchRecord]:
-    """Constraint-system suite through the split-and-list solver."""
+              seed: int = 0) -> list[BenchRecord]:
+    """Constraint-system suite through the split-and-list solver, with weights
+    of absolute value at most 8."""
     out = []
     for i in range(count):
         spec = GenSpec(kind="ilp", n=n, rows=rows, arity=arity, seed=seed + i,
-                       weight_bound=weight_bound)
+                       weight_bound=8)
         system = generate(spec)
         cnt = WorkCounters()
         (witness, _), elapsed = _timed(lambda: solve_ilp(system, counters=cnt))

@@ -14,16 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InputError
 
-# External text formats accept integers in [-2^31, 2^31); together with the
-# accumulation guard below this keeps every weighted sum inside 63 bits even
-# on backends without big integers.
-MAX_ABS_WEIGHT = 1 << 31
+# Every gate, top and row sum must stay strictly inside +-ACCUMULATION_GUARD,
+# so that it fits int64 whatever the weights (see check_accumulation).
 ACCUMULATION_GUARD = 1 << 62
 
 
@@ -132,23 +130,31 @@ def holds_columns(kind: PredKind, columns: Sequence, sums: np.ndarray
     return out
 
 
+def weighted_terms(terms: Iterable[tuple[int, int]], what: str
+                   ) -> tuple[tuple[int, int], ...]:
+    """(index, weight) terms of a gate, a row or the direct wires, as
+    pairs of ints; InputError for a zero weight, a negative index or an
+    index named twice, with what naming the terms."""
+    out = tuple((int(i), int(w)) for i, w in terms)
+    seen = set()
+    for idx, w in out:
+        if w == 0:
+            raise InputError(f"zero weight on x{idx} in {what}")
+        if idx < 0:
+            raise InputError(f"negative variable index in {what}")
+        if idx in seen:
+            raise InputError(f"duplicate variable x{idx} in {what}")
+        seen.add(idx)
+    return out
+
+
 @dataclass(frozen=True)
 class SymmetricGate:
     inputs: tuple[tuple[int, int], ...]
     pred: Predicate
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs",
-                           tuple((int(i), int(w)) for i, w in self.inputs))
-        seen = set()
-        for idx, w in self.inputs:
-            if w == 0:
-                raise InputError("gate input weights must be nonzero")
-            if idx < 0:
-                raise InputError("negative variable index in gate")
-            if idx in seen:
-                raise InputError(f"duplicate variable x{idx} in gate")
-            seen.add(idx)
+        object.__setattr__(self, "inputs", weighted_terms(self.inputs, "gate"))
 
     @property
     def fan_in(self) -> int:
@@ -180,7 +186,7 @@ class SymmetricCircuit:
         object.__setattr__(self, "top_gate_weights",
                            tuple(int(w) for w in self.top_gate_weights))
         object.__setattr__(self, "direct_wires",
-                           tuple((int(i), int(w)) for i, w in self.direct_wires))
+                           weighted_terms(self.direct_wires, "direct wires"))
         if self.n_vars < 0:
             raise InputError("n_vars must be nonnegative")
         if len(self.top_gate_weights) != len(self.bottom):
@@ -189,15 +195,9 @@ class SymmetricCircuit:
             for idx, _ in gate.inputs:
                 if idx >= self.n_vars:
                     raise InputError(f"gate reads x{idx} but circuit has {self.n_vars} variables")
-        seen = set()
-        for idx, w in self.direct_wires:
-            if w == 0:
-                raise InputError("direct wires must have nonzero weight")
-            if not 0 <= idx < self.n_vars:
+        for idx, _ in self.direct_wires:
+            if idx >= self.n_vars:
                 raise InputError(f"direct wire on x{idx} out of range")
-            if idx in seen:
-                raise InputError(f"duplicate direct wire on x{idx}")
-            seen.add(idx)
         if self.declared_density is not None \
                 and self.weighted_wires > self.declared_density * self.n_vars:
             raise InputError("weighted wires exceed the declared density budget")
@@ -262,27 +262,20 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Restriction:
-    """A partition of the variables into an assigned part (with Boolean values)
-    and a free part."""
+    """The free set of a random restriction of n_vars variables.
 
-    assigned: Mapping[int, int]
+    No variable is fixed to a value: the solvers enumerate both values of
+    every variable outside the set they eliminate.
+    """
+
     free: frozenset[int]
+    n_vars: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assigned",
-                           {int(k): int(v) for k, v in dict(self.assigned).items()})
         object.__setattr__(self, "free", frozenset(int(i) for i in self.free))
-        n = len(self.assigned) + len(self.free)
-        universe = set(self.assigned) | self.free
-        if len(universe) != n or universe != set(range(n)):
-            raise InputError("assigned keys and free set must partition 0..n-1")
-        for v in self.assigned.values():
-            if v not in (0, 1):
-                raise InputError("restriction values must be Boolean")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.assigned) + len(self.free)
+        if self.n_vars < 0 \
+                or not all(0 <= i < self.n_vars for i in self.free):
+            raise InputError("free variables must lie in 0..n_vars-1")
 
 
 @dataclass(frozen=True)
@@ -345,9 +338,9 @@ def evaluate_batch(circuit: SymmetricCircuit, values: np.ndarray) -> np.ndarray:
     """Evaluate the circuit on a whole batch of assignments at once.
 
     values is a (rows, n_vars) array of 0/1 entries; the result is a Boolean
-    array with one verdict per row.  Accumulation stays inside int64: weights
-    are bounded by MAX_ABS_WEIGHT and the per-row weighted sums are checked
-    against ACCUMULATION_GUARD.
+    array with one verdict per row.  Accumulation stays inside int64:
+    check_accumulation refuses a circuit whose gate or top sums could reach
+    ACCUMULATION_GUARD.
     """
     vals = np.asarray(values)
     if vals.ndim != 2 or vals.shape[1] != circuit.n_vars:

@@ -24,7 +24,7 @@ import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
@@ -41,6 +41,9 @@ from .splitlist import IneqSystem, Rel, Row
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_BRANCH_BITS = 30
+# a circuit with more variables is refused before the greedy set, the draw
+# and eliminate's set-up, Python loops over every variable, can run
+MAX_VARS = 1 << 16
 _BLOCK_ELEMENT_BITS = 14
 _KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
 
@@ -114,14 +117,14 @@ def draw_restriction(circuit: SymmetricCircuit, p: Fraction,
 
     rng.random() returns a multiple of 2^-53, so it is below p exactly when
     it is below the float ceil(p * 2^53) / 2^53: the draw compares floats
-    and frees the same variables as a comparison with p itself.  Assigned
-    slots are filled with 0: only the free set matters, since the solvers
-    enumerate every assignment outside the set they eliminate.
+    and frees the same variables as a comparison with p itself.  Only the
+    free set is drawn: no variable is fixed, since the solvers enumerate
+    both values of every variable outside the set they eliminate.
     """
     below = math.ceil(p * 2 ** 53) / 2 ** 53
-    free = frozenset(i for i in range(circuit.n_vars) if rng.random() < below)
-    assigned = {i: 0 for i in range(circuit.n_vars) if i not in free}
-    return Restriction(assigned=assigned, free=free)
+    n = circuit.n_vars
+    return Restriction(frozenset(i for i in range(n) if rng.random() < below),
+                       n)
 
 
 def exceptional_gates(circuit: SymmetricCircuit,
@@ -214,9 +217,10 @@ class SolveOutcome:
     ascending, and branches = 2^(n - |S|) the rows enumerated outside it;
     counters.assignments counts the rows examined, all of them when the
     circuit is unsatisfiable.  restriction is the one restriction drawn at
-    p, None when S is the greedy set; params holds the threshold solver's
-    `restriction_params` with the p it drew at, None when nothing was drawn
-    and for the symmetric solver, which picks only p.
+    p, None when S is the greedy set.  params holds `restriction_params`
+    when they chose p, that is when the threshold solver drew at its own
+    p; it is None when nothing was drawn, when the caller gave p, and for
+    the symmetric solver, which picks only p.
     """
 
     satisfiable: bool
@@ -455,7 +459,8 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
                        params: Optional[RestrictionParams],
                        max_branch_bits: int,
                        counters: Optional[WorkCounters]) -> SolveOutcome:
-    """The one route of both solvers.  With p None, eliminate the greedy
+    """The one route of both solvers.  A circuit of more than MAX_VARS
+    variables is a ResourceGuardError.  With p None, eliminate the greedy
     independent set and draw nothing.  Otherwise check 0 < p <= 1, draw one
     restriction at p from Random(seed), or from the instance's own seed, and
     eliminate its free variables outside the exceptional gates.  Under a top
@@ -466,6 +471,9 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
     n = circuit.n_vars
     if n < 1:
         raise InputError("circuit must have at least one variable")
+    if n > MAX_VARS:
+        raise ResourceGuardError(
+            f"{n} variables exceeds the {MAX_VARS} guard")
     if p is None:
         restriction = None
         eliminated = greedy_independent_set(circuit)
@@ -510,16 +518,16 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     force_restriction ask for the paper's restriction, one restriction is
     drawn (seed picks it) at p, or else at `restriction_params`' p, and S
     is its free variables outside the exceptional gates; p outside (0, 1]
-    is an InputError.  The reported params are `restriction_params` with
-    the p drawn at.  The 2^(n - |S|) rows outside S are enumerated, at most
-    2^max_branch_bits of them; cnt.assignments counts the rows examined.
-    The returned witness, if any, is verified before return.
+    is an InputError.  params reports `restriction_params` only when they
+    chose p, and is None otherwise.  The 2^(n - |S|) rows outside S are
+    enumerated, at most 2^max_branch_bits of them, and a circuit of more
+    than MAX_VARS variables is refused; cnt.assignments counts the rows
+    examined.  The returned witness, if any, is verified before return.
     """
     require_threshold(circuit, "solve")
     params = None
-    if p is not None or force_restriction:
+    if p is None and force_restriction:
         params = restriction_params(circuit)
-        if p is not None:
-            params = replace(params, p=Fraction(p))
-    return _solve_eliminating(circuit, None if params is None else params.p,
-                              seed, params, max_branch_bits, counters)
+        p = params.p
+    return _solve_eliminating(circuit, p, seed, params, max_branch_bits,
+                              counters)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import ACCUMULATION_GUARD, Assignment
+from .model import ACCUMULATION_GUARD, Assignment, weighted_terms
 from .vecdom import find_dominating_pair
 
 MAX_ROWS = 62
@@ -54,19 +54,9 @@ class Row:
     rhs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple((int(i), int(w)) for i, w in self.coeffs))
+        object.__setattr__(self, "coeffs", weighted_terms(self.coeffs, "row"))
         object.__setattr__(self, "rel", Rel(self.rel))
         object.__setattr__(self, "rhs", int(self.rhs))
-        seen = set()
-        for idx, w in self.coeffs:
-            if w == 0:
-                raise InputError("row coefficients must be nonzero")
-            if idx < 0:
-                raise InputError("negative variable index in row")
-            if idx in seen:
-                raise InputError(f"duplicate variable x{idx} in row")
-            seen.add(idx)
 
 
 @dataclass(frozen=True)

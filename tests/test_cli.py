@@ -165,6 +165,16 @@ def test_ilp_half_guard_exits_one(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_variable_guard_exits_one(tmp_path):
+    # 23 bytes declaring 2^31 - 1 variables: refused before any per-variable
+    # loop
+    big = tmp_path / "wide.tc2"
+    big.write_text(f"tc2 {(1 << 31) - 1} 0\ntop 1\n")
+    res = run_cli("solve", "circuit", str(big))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "guard" in res.stderr
+
+
 def test_missing_file_exits_one():
     res = run_cli("solve", "circuit", "/nonexistent/file.tc2")
     assert res.returncode == 1

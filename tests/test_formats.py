@@ -276,6 +276,26 @@ def test_semantic_errors_become_parse_errors():
         parse_symmetric("sc2 2 1 1\nsgate ge 1 0:3 1:3\nstop ge 1 g0:1\n")
 
 
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_circuit, "tc2 3 2\ngate 1 0:1\ngate 1 1:0\ntop 1 g0:1\n", 3),
+    (parse_circuit, "tc2 3 1\ngate 1 2:1 1:1 2:3\ntop 1 g0:1\n", 2),
+    (parse_circuit, "tc2 3 1\ngate 1 0:1\ntop 1 g0:1 x1:0\n", 3),
+    (parse_circuit, "tc2 3 1\ngate 1 0:1\ntop 1 g0:1 x3:1\n", 3),
+    (parse_symmetric, "sc2 3 2 2\nsgate eq 1 0:1\nsgate ge 1 2:0\n"
+     "stop ge 1 g0:1\n", 3),
+    (parse_symmetric, "sc2 3 1 4\nsgate mod 2 1 0:1 0:1\nstop ge 1\n", 2),
+    (parse_symmetric, "sc2 3 1 1\nsgate ge 1 0:1\nstop ge 1 x2:0\n", 3),
+    (parse_ilp, "ilp 3 2 2\nrow ge 1 0:1\nrow le 1 1:0\n", 3),
+    (parse_ilp, "ilp 3 1 2\nrow eq 1 1:2 1:-2\n", 2),
+])
+def test_bad_weighted_terms_are_refused_on_their_line(parse, text, line):
+    """A zero weight, a repeated index or a direct wire past the header's
+    variable count is a ParseError on the line of the term."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
 def test_witness_roundtrip():
     w = Assignment((1, 0, 1), 2)
     assert emit_witness(w) == "101"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from thrsat.errors import InputError
 from thrsat.model import (Assignment, Restriction,
                           ThresholdCircuit, ThresholdGate, evaluate,
-                          evaluate_batch, wire_stats)
+                          evaluate_batch, weighted_terms, wire_stats)
+from thrsat.splitlist import Rel, Row
 
 
 @st.composite
@@ -78,13 +79,48 @@ def test_assignment_validation():
     assert a[1] == 2
 
 
-def test_restriction_partition():
-    r = Restriction(assigned={0: 1, 2: 0}, free=frozenset({1}))
-    assert r.n_vars == 3
+def test_restriction_is_its_free_set():
+    r = Restriction(frozenset({1}), 3)
+    assert r.n_vars == 3 and r.free == {1}
+    assert Restriction(frozenset(), 0).free == frozenset()
+    assert Restriction(frozenset(range(4)), 4).n_vars == 4
+    for free, n in (({3}, 3), ({-1}, 3), ({0}, 0), ((), -1)):
+        with pytest.raises(InputError):
+            Restriction(frozenset(free), n)
+
+
+def _gate_terms(terms):
+    return ThresholdGate(terms, 1)
+
+
+def _row_terms(terms):
+    return Row(terms, Rel.GE, 1)
+
+
+def _direct_terms(terms):
+    return ThresholdCircuit(4, (), (), terms, 1)
+
+
+@pytest.mark.parametrize("build", [_gate_terms, _row_terms, _direct_terms])
+@pytest.mark.parametrize("terms", [((0, 0),), ((1, 2), (-1, 1)),
+                                   ((2, 1), (0, 3), (2, -1))])
+def test_weighted_terms_refused_alike(build, terms):
+    """Gate inputs, row coefficients and direct wires refuse a zero weight,
+    a negative index and a repeated index."""
     with pytest.raises(InputError):
-        Restriction(assigned={0: 1}, free=frozenset({0}))
+        build(terms)
+
+
+def test_weighted_terms_are_int_pairs():
+    terms = weighted_terms(((np.int64(3), np.int64(2)), (0, -1)), "gate")
+    assert terms == ((3, 2), (0, -1))
+    assert all(type(v) is int for term in terms for v in term)
+
+
+def test_direct_wires_stay_below_n_vars():
+    assert _direct_terms(((3, 1),)).direct_wires == ((3, 1),)
     with pytest.raises(InputError):
-        Restriction(assigned={0: 1, 3: 0}, free=frozenset({1}))
+        _direct_terms(((4, 1),))
 
 
 def test_wire_stats_counts_bottom_wires_only():

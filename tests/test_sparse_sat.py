@@ -654,6 +654,46 @@ def test_solve_branch_guard():
               force_restriction=True, max_branch_bits=10)
 
 
+def test_solve_reports_params_only_when_they_choose_p():
+    """A caller's p is drawn at and reports no params.  A forced
+    restriction without p reports restriction_params and draws at their p:
+    1/2, 1/4 and 1/6 on the fan-in-1 circuits, 1 on the wireless one."""
+    circuits = [random_fixed_fanin_circuit(24, wires, 1, seed=wires,
+                                           direct_count=4)
+                for wires in (1, 2, 3)]
+    circuits += [random_mixed_circuit(14, 28, seed=2),
+                 random_fixed_fanin_circuit(20, 20, 3, seed=5),
+                 ThresholdCircuit(10, (), (), ((0, 2), (3, -1), (7, 1)), 2)]
+    for circuit in circuits:
+        params = restriction_params(circuit)
+        for seed in range(5):
+            for q in (Fraction(1, 3), params.p):
+                given = solve(circuit, seed=seed, p=q)
+                assert given.params is None
+                assert given.restriction.free == draw_restriction(
+                    circuit, q, Random(seed)).free
+            derived = solve(circuit, seed=seed, force_restriction=True)
+            assert derived.params == params
+            assert derived.restriction.free == draw_restriction(
+                circuit, params.p, Random(seed)).free
+
+
+def test_solvers_refuse_circuits_past_the_variable_guard():
+    """A circuit of 2^31 - 1 variables is refused before any per-variable
+    work, on every route of both solvers."""
+    circuit = ThresholdCircuit((1 << 31) - 1, (), (), ((5, 1),), 1)
+    for solver in (solve, solve_symmetric):
+        for kwargs in ({}, {"force_restriction": True},
+                       {"p": Fraction(1, 2)}):
+            with pytest.raises(ResourceGuardError):
+                solver(circuit, seed=0, **kwargs)
+    over = ThresholdCircuit(sparse_sat.MAX_VARS + 1, (), (), ((5, 1),), 1)
+    with pytest.raises(ResourceGuardError):
+        solve(over, p=Fraction(1))
+    edge = ThresholdCircuit(sparse_sat.MAX_VARS, (), (), ((5, 1),), 1)
+    assert solve(edge, p=Fraction(1)).satisfiable
+
+
 def test_solve_lex_witness_on_unsat_free_set():
     # All variables assigned: the degenerate path scans the whole cube and
     # must agree with plain enumeration.
