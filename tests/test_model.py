@@ -58,6 +58,9 @@ def test_circuit_validation():
     with pytest.raises(InputError):
         ThresholdCircuit(1, (gate,), (1,), ((0, 1), (0, 2)), 0)
     with pytest.raises(InputError):
+        # direct wire past the variable count
+        ThresholdCircuit(1, (gate,), (1,), ((1, 1),), 0)
+    with pytest.raises(InputError):
         # gate reads past the variable count
         ThresholdCircuit(0, (gate,), (1,), (), 0)
 
@@ -115,12 +118,6 @@ def test_weighted_terms_are_int_pairs():
     terms = weighted_terms(((np.int64(3), np.int64(2)), (0, -1)), "gate")
     assert terms == ((3, 2), (0, -1))
     assert all(type(v) is int for term in terms for v in term)
-
-
-def test_direct_wires_stay_below_n_vars():
-    assert _direct_terms(((3, 1),)).direct_wires == ((3, 1),)
-    with pytest.raises(InputError):
-        _direct_terms(((4, 1),))
 
 
 def test_wire_stats_counts_bottom_wires_only():
