@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional
 
 from .counters import WorkCounters
@@ -18,9 +18,6 @@ from .sparse_sat import solve
 from .splitlist import solve_ilp
 from .symsat import solve_symmetric
 
-CSV_HEADER = ("instance,n,c,solver,verdict,wall_time_ns,assignments,vectors,"
-              "comparisons,guesses,eq_solves,empirical_exponent")
-
 
 def empirical_exponent(total_ops: int, n: int) -> float:
     return math.log2(max(total_ops, 1)) / max(n, 1)
@@ -28,7 +25,8 @@ def empirical_exponent(total_ops: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark run; one CSV row."""
+    """One benchmark run; one CSV row, a column per field in field order.
+    The counter columns are WorkCounters' fields, under their names."""
 
     instance: str
     n: int
@@ -44,44 +42,30 @@ class BenchRecord:
     empirical_exponent: float
 
     def to_csv(self) -> str:
-        return (f"{self.instance},{self.n},{self.c},{self.solver},"
-                f"{self.verdict},{self.wall_time_ns},{self.assignments},"
-                f"{self.vectors},{self.comparisons},{self.guesses},"
-                f"{self.eq_solves},{self.empirical_exponent:.6f}")
+        return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                        for v in astuple(self))
 
 
-def _record(instance: str, n: int, c: int, solver: str, satisfiable: bool,
-            elapsed_ns: int, cnt: WorkCounters) -> BenchRecord:
-    return BenchRecord(
-        instance=instance, n=n, c=c, solver=solver,
-        verdict="SAT" if satisfiable else "UNSAT",
-        wall_time_ns=elapsed_ns,
-        assignments=cnt.assignments, vectors=cnt.vectors,
-        comparisons=cnt.comparisons, guesses=cnt.guesses,
-        eq_solves=cnt.eq_solves,
-        empirical_exponent=empirical_exponent(cnt.total(), n),
-    )
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
-def _timed(fn):
-    start = time.perf_counter_ns()
-    result = fn()
-    return result, time.perf_counter_ns() - start
-
-
-def _bench_circuit_solver(count: int, n: int, c: int, seed: int,
-                          force_restriction: bool, prefix: str, label: str,
-                          solver, **spec) -> list[BenchRecord]:
-    """Generate count circuits from spec and time solver on each."""
+def _bench(count: int, seed: int, name: str, solver: str, run,
+           spec: GenSpec) -> list[BenchRecord]:
+    """Generate count instances from spec at seeds seed, seed + 1, ... and
+    time run(instance, seed, counters), which returns the verdict, on
+    each.  The instances are named name-seed, and the c column is spec.c,
+    0 for a constraint system."""
     out = []
-    for i in range(count):
-        circuit = generate(GenSpec(n=n, c=c, seed=seed + i, **spec))
+    for s in range(seed, seed + count):
+        instance = generate(replace(spec, seed=s))
         cnt = WorkCounters()
-        outcome, elapsed = _timed(lambda: solver(
-            circuit, seed=seed + i, force_restriction=force_restriction,
-            counters=cnt))
-        out.append(_record(f"{prefix}-{n}-{c}-{seed + i}", n, c, label,
-                           outcome.satisfiable, elapsed, cnt))
+        start = time.perf_counter_ns()
+        satisfiable = run(instance, s, cnt)
+        elapsed = time.perf_counter_ns() - start
+        out.append(BenchRecord(
+            f"{name}-{s}", spec.n, spec.c or 0, solver,
+            "SAT" if satisfiable else "UNSAT", elapsed, **asdict(cnt),
+            empirical_exponent=empirical_exponent(cnt.total(), spec.n)))
     return out
 
 
@@ -91,10 +75,13 @@ def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
     """Threshold-circuit suite through the restriction solver, with weights of
     absolute value at most 8."""
     dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
-    return _bench_circuit_solver(
-        count, n, c, seed, force_restriction, "tc", "solve", solve,
-        kind="threshold_circuit", weight_bound=8,
-        distribution=dist, fan_in=fan_in)
+    return _bench(
+        count, seed, f"tc-{n}-{c}", "solve",
+        lambda circuit, s, cnt: solve(
+            circuit, seed=s, force_restriction=force_restriction,
+            counters=cnt).satisfiable,
+        GenSpec(kind="threshold_circuit", n=n, c=c, weight_bound=8,
+                distribution=dist, fan_in=fan_in))
 
 
 def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
@@ -102,25 +89,22 @@ def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
     """Symmetric-circuit suite through solve_symmetric, whose one route is
     the elimination kernel the threshold solver uses, with weights of
     absolute value at most 3."""
-    return _bench_circuit_solver(
-        count, n, c, seed, force_restriction, "sc", "solve_symmetric",
-        solve_symmetric, kind="symmetric_circuit", weight_bound=3)
+    return _bench(
+        count, seed, f"sc-{n}-{c}", "solve_symmetric",
+        lambda circuit, s, cnt: solve_symmetric(
+            circuit, seed=s, force_restriction=force_restriction,
+            counters=cnt).satisfiable,
+        GenSpec(kind="symmetric_circuit", n=n, c=c, weight_bound=3))
 
 
 def bench_ilp(count: int, n: int, rows: int, *, arity: int = 2,
               seed: int = 0) -> list[BenchRecord]:
     """Constraint-system suite through the split-and-list solver, with weights
     of absolute value at most 8."""
-    out = []
-    for i in range(count):
-        spec = GenSpec(kind="ilp", n=n, rows=rows, arity=arity, seed=seed + i,
-                       weight_bound=8)
-        system = generate(spec)
-        cnt = WorkCounters()
-        (witness, _), elapsed = _timed(lambda: solve_ilp(system, counters=cnt))
-        out.append(_record(f"ilp-{n}-{rows}-{seed + i}", n, 0, "solve_ilp",
-                           witness is not None, elapsed, cnt))
-    return out
+    return _bench(
+        count, seed, f"ilp-{n}-{rows}", "solve_ilp",
+        lambda system, s, cnt: solve_ilp(system, counters=cnt)[0] is not None,
+        GenSpec(kind="ilp", n=n, rows=rows, arity=arity, weight_bound=8))
 
 
 def bench_speedup(count: int = 3, *, seed: int = 0, n: int = 24, c: int = 1,

@@ -45,14 +45,16 @@ def _print_counters(cnt: WorkCounters, eliminated: int) -> None:
           f"eliminated={eliminated}", file=sys.stderr)
 
 
-def _run_instance(args, use_oracle: bool) -> int:
+def _run_instance(args) -> int:
+    """Decide one instance file: with the brute-force reference when
+    args.use_oracle is set (the `oracle` verb), else with the solvers."""
     text = Path(args.file).read_text(encoding="utf-8")
     cnt = WorkCounters()
     eliminated = 0
     if args.kind in ("circuit", "symmetric"):
         circuit = parse_circuit(text) if args.kind == "circuit" \
             else parse_symmetric(text)
-        if use_oracle:
+        if args.use_oracle:
             witness = brute_circuit_sat(circuit, counters=cnt)
         else:
             kwargs = {}
@@ -66,7 +68,7 @@ def _run_instance(args, use_oracle: bool) -> int:
             eliminated = len(outcome.eliminated)
     else:
         system = parse_ilp(text)
-        if use_oracle:
+        if args.use_oracle:
             witness = brute_ilp(system, counters=cnt)
         else:
             kwargs = {}
@@ -76,14 +78,6 @@ def _run_instance(args, use_oracle: bool) -> int:
     code = _print_verdict(witness)
     _print_counters(cnt, eliminated)
     return code
-
-
-def _cmd_solve(args) -> int:
-    return _run_instance(args, use_oracle=False)
-
-
-def _cmd_oracle(args) -> int:
-    return _run_instance(args, use_oracle=True)
 
 
 _GEN_KINDS = {"circuit": "threshold_circuit",
@@ -132,7 +126,8 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
                      help="draw the paper's restriction and eliminate its "
                           "free set, not the greedy set")
     sub.add_argument("--max-assigned", type=int, default=None,
-                     help="enumerated-bit guard (for ilp: at most 2^N half assignments)")
+                     help="enumerated-bit guard (for ilp: at most 2^N half "
+                          "assignments, within the half-table guard)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_p = subs.add_parser("solve", help="run the restriction solvers")
     _add_instance_args(solve_p)
-    solve_p.set_defaults(func=_cmd_solve)
+    solve_p.set_defaults(func=_run_instance, use_oracle=False)
 
     oracle_p = subs.add_parser("oracle", help="run the brute-force reference")
     _add_instance_args(oracle_p)
-    oracle_p.set_defaults(func=_cmd_oracle)
+    oracle_p.set_defaults(func=_run_instance, use_oracle=True)
 
     gen_p = subs.add_parser("gen", help="print a generated instance")
     gen_p.add_argument("kind", choices=("circuit", "symmetric", "ilp"))

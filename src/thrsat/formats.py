@@ -203,7 +203,7 @@ def parse_symmetric(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
 
 def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
     lines = _Lines(text)
-    _, (n, m, arity) = _header(lines, "ilp", 3)
+    header, (n, m, arity) = _header(lines, "ilp", 3)
     rows = []
     for _ in range(m):
         lineno, tokens = lines.take("a `row` line")
@@ -216,8 +216,7 @@ def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
         coeffs = _inputs(tokens[3:], lineno, n, "row")
         rows.append(_build(lineno, Row, coeffs, rel, rhs))
     lines.expect_end()
-    last = lines.items[-1][0] if lines.items else 1
-    return _build(last, IneqSystem, n, tuple(rows), arity)
+    return _build(header, IneqSystem, n, tuple(rows), arity)
 
 
 def _num(value: int) -> str:
@@ -297,9 +296,11 @@ def emit_ilp(system: IneqSystem) -> str:
 
 
 def emit_witness(assignment: Assignment) -> str:
-    """Witness as one digit per variable, in variable order."""
+    """Witness as one digit per variable, in variable order; InputError
+    for an arity above MAX_WITNESS_ARITY, whose values need more than one
+    digit."""
     if assignment.arity > MAX_WITNESS_ARITY:
-        raise ValueError(f"cannot print digits for arity {assignment.arity}")
+        raise InputError(f"cannot print digits for arity {assignment.arity}")
     return "".join(str(v) for v in assignment.values)
 
 

@@ -40,12 +40,14 @@ def _cube_blocks(n: int) -> Iterator[np.ndarray]:
 
 
 def brute_circuit_sat(circuit: SymmetricCircuit, *,
-                      counters: Optional[WorkCounters] = None,
-                      max_n: int = MAX_BRUTE_VARS) -> Optional[Assignment]:
-    """Scan the full cube; returns the lexicographically first witness."""
-    if circuit.n_vars > max_n:
+                      counters: Optional[WorkCounters] = None
+                      ) -> Optional[Assignment]:
+    """Scan the full cube; returns the lexicographically first witness.  A
+    circuit of more than MAX_BRUTE_VARS variables is refused."""
+    if circuit.n_vars > MAX_BRUTE_VARS:
         raise ResourceGuardError(
-            f"{circuit.n_vars} variables exceeds the {max_n}-variable brute guard")
+            f"{circuit.n_vars} variables exceeds the {MAX_BRUTE_VARS}-variable "
+            "brute guard")
     cnt = counters if counters is not None else WorkCounters()
     for block in _cube_blocks(circuit.n_vars):
         verdicts = evaluate_batch(circuit, block)
@@ -57,28 +59,28 @@ def brute_circuit_sat(circuit: SymmetricCircuit, *,
     return None
 
 
-def enumerate_satisfying(circuit: SymmetricCircuit, *,
-                         max_n: int = 20) -> list[tuple[int, ...]]:
+def enumerate_satisfying(circuit: SymmetricCircuit) -> list[tuple[int, ...]]:
     """All satisfying assignments, in lexicographic order; intended for
-    exactness tests at small n."""
+    exactness tests at small n.  A circuit of more than 20 variables is
+    refused."""
     n = circuit.n_vars
-    if n > max_n:
+    if n > 20:
         raise ResourceGuardError(
-            f"{n} variables exceeds the {max_n}-variable enumeration guard")
+            f"{n} variables exceeds the 20-variable enumeration guard")
     return [tuple(int(v) for v in block[hit])
             for block in _cube_blocks(n)
             for hit in np.flatnonzero(evaluate_batch(circuit, block))]
 
 
 def brute_ilp(system: IneqSystem, *,
-              counters: Optional[WorkCounters] = None,
-              max_assignments: int = 1 << MAX_BRUTE_VARS) -> Optional[Assignment]:
-    """Scan all assignments of the constraint system, lexicographically."""
+              counters: Optional[WorkCounters] = None) -> Optional[Assignment]:
+    """Scan all assignments of the constraint system, lexicographically.  A
+    system of more than 2^MAX_BRUTE_VARS assignments is refused."""
     n, arity = system.n_vars, system.arity
     total = arity ** n
-    if total > max_assignments:
+    if total > 1 << MAX_BRUTE_VARS:
         raise ResourceGuardError(
-            f"{total} assignments exceeds the {max_assignments} brute guard")
+            f"{total} assignments exceeds the 2^{MAX_BRUTE_VARS} brute guard")
     cnt = counters if counters is not None else WorkCounters()
     for base in range(0, total, _CHUNK):
         width = min(_CHUNK, total - base)
@@ -302,14 +304,15 @@ def random_symmetric_circuit(n: int, wires: int, seed: int, *,
 
 
 def random_ilp(n: int, rows: int, arity: int, seed: int, *,
-               weight_bound: int = 8, max_row_vars: int = 4) -> IneqSystem:
-    """Constraint system with random relations and reachable right-hand sides."""
+               weight_bound: int = 8) -> IneqSystem:
+    """Constraint system with random relations and reachable right-hand
+    sides; each row reads one to four variables."""
     if n < 1 or rows < 0:
         raise InputError("need at least one variable and a nonnegative row count")
     rng = Random(seed)
     out = []
     for _ in range(rows):
-        f = rng.randint(1, min(n, max_row_vars))
+        f = rng.randint(1, min(n, 4))
         vars_ = sorted(rng.sample(range(n), f))
         coeffs = tuple((i, _nonzero_weight(rng, weight_bound)) for i in vars_)
         lo = sum(min(w, 0) for _, w in coeffs) * (arity - 1)
@@ -335,10 +338,10 @@ def random_domination(n_a: int, n_b: int, d: int, seed: int, *,
 class GenSpec:
     """Declarative description of a generated instance.
 
-    kind picks the instance family; n is the variable count (list length per
-    side, for vectors).  c is the wire budget per variable for circuits, and
-    rows is the row count for constraint systems (the dimension, for
-    vectors).  distribution shapes circuit fan-ins: uniform_fanin draws them
+    kind picks the instance family; n is the variable count.  c is the wire
+    budget per variable for circuits, and rows is the row count for
+    constraint systems.  weight_bound, at least 1, bounds the absolute
+    weights.  distribution shapes circuit fan-ins: uniform_fanin draws them
     at random, fixed_fanin pins them to fan_in, and adversarial_pow2 builds
     one density unit of weight-one gates at every fan-in 2^j for j in 1..c.
     """
@@ -353,7 +356,7 @@ class GenSpec:
     distribution: str = "uniform_fanin"
     fan_in: Optional[int] = None
 
-    _KINDS = ("threshold_circuit", "symmetric_circuit", "ilp", "vectors")
+    _KINDS = ("threshold_circuit", "symmetric_circuit", "ilp")
     _DISTRIBUTIONS = ("uniform_fanin", "fixed_fanin", "adversarial_pow2")
 
     def __post_init__(self):
@@ -363,6 +366,8 @@ class GenSpec:
             raise InputError(f"unknown distribution {self.distribution!r}")
         if self.n < 1:
             raise InputError("n must be positive")
+        if self.weight_bound < 1:
+            raise InputError("weight_bound must be positive")
         if self.distribution == "fixed_fanin" and self.fan_in is None:
             raise InputError("fixed_fanin needs fan_in")
 
@@ -396,9 +401,6 @@ def generate(spec: GenSpec):
                                         if spec.distribution == "fixed_fanin"
                                         else None)
     if spec.rows is None or spec.rows < 1:
-        raise InputError(f"{spec.kind} generation needs a positive row count")
-    if spec.kind == "ilp":
-        return random_ilp(spec.n, spec.rows, spec.arity, spec.seed,
-                          weight_bound=spec.weight_bound)
-    return random_domination(spec.n, spec.n, spec.rows, spec.seed,
-                             coord_bound=8 * spec.weight_bound)
+        raise InputError("ilp generation needs a positive row count")
+    return random_ilp(spec.n, spec.rows, spec.arity, spec.seed,
+                      weight_bound=spec.weight_bound)

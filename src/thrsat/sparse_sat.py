@@ -11,8 +11,11 @@ default S is a greedy independent set, chosen without randomness.  When
 the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
 more free inputs); an empty S makes the kernel a cube scan.  The driver
-checks the free probability p, seeds the draw and calls the kernel; the
-two entry points differ only in their default p.
+checks the free probability p, draws the restriction from a seeded
+generator, finds its exceptional gates once and calls the kernel; the two
+entry points differ only in their default p.  A circuit with no variables
+needs no special case: its cube is one empty row, which the kernel decides
+like any other.
 
 `ilp_for_guess` keeps the paper's reduction from a guess of which gates
 fire to a linear system for the split-and-list search.  Every witness is
@@ -93,16 +96,16 @@ def fanin_separation(stats: WireStats, n: int, epsilon: Fraction,
 
 
 def restriction_params(circuit: SymmetricCircuit) -> RestrictionParams:
-    """Derive the restriction parameters from the circuit's wire density."""
-    n = circuit.n_vars
-    if n < 1:
-        raise InputError("circuit must have at least one variable")
+    """Derive the restriction parameters from the circuit's wire density.
+
+    A circuit with no bottom wires, among them every circuit with no
+    variables, gets p = 1: every variable can stay free."""
     delta = DEFAULT_DELTA
     wires = circuit.wires
     if wires == 0:
-        # No bottom wires at all: every variable can stay free.
         return RestrictionParams(c=Fraction(0), delta=delta, epsilon=Fraction(0),
                                  a=Fraction(1), k=Fraction(1), p=Fraction(1))
+    n = circuit.n_vars
     c = Fraction(wires, n)
     epsilon = delta * delta / c
     a = (c * c) / (delta * delta)
@@ -137,14 +140,6 @@ def exceptional_gates(circuit: SymmetricCircuit,
     fs = frozenset(free)
     return tuple(j for j, g in enumerate(circuit.bottom)
                  if sum(1 for i, _ in g.inputs if i in fs) >= 2)
-
-
-def sample_restriction(circuit: SymmetricCircuit, p: Fraction,
-                       rng: Random) -> tuple[Restriction, int]:
-    """One draw at p and its exceptional-gate count.  The draw is kept
-    whatever its count: redrawing for a small count favours small free sets."""
-    r = draw_restriction(circuit, p, rng)
-    return r, len(exceptional_gates(circuit, r.free))
 
 
 def greedy_independent_set(circuit: SymmetricCircuit) -> tuple[int, ...]:
@@ -460,17 +455,16 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
                        max_branch_bits: int,
                        counters: Optional[WorkCounters]) -> SolveOutcome:
     """The one route of both solvers.  A circuit of more than MAX_VARS
-    variables is a ResourceGuardError.  With p None, eliminate the greedy
-    independent set and draw nothing.  Otherwise check 0 < p <= 1, draw one
-    restriction at p from Random(seed), or from the instance's own seed, and
-    eliminate its free variables outside the exceptional gates.  Under a top
-    other than `ge`, the variables with the largest gain_bounds, the highest
-    index first among equals, leave the set until its spread fits
+    variables is a ResourceGuardError; one with none is decided by its one
+    empty row.  With p None, eliminate the greedy independent set and draw
+    nothing.  Otherwise check 0 < p <= 1, draw one restriction at p from
+    Random(seed), or from the instance's own seed, and eliminate its free
+    variables outside the exceptional gates, which are found once.  Under a
+    top other than `ge`, the variables with the largest gain_bounds, the
+    highest index first among equals, leave the set until its spread fits
     eliminate's guard.  params is only reported."""
     cnt = counters if counters is not None else WorkCounters()
     n = circuit.n_vars
-    if n < 1:
-        raise InputError("circuit must have at least one variable")
     if n > MAX_VARS:
         raise ResourceGuardError(
             f"{n} variables exceeds the {MAX_VARS} guard")
@@ -482,7 +476,7 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
         if not 0 < p <= 1:
             raise InputError("free probability p must lie in (0, 1]")
         rng = Random(seed if seed is not None else instance_seed(circuit))
-        restriction, _ = sample_restriction(circuit, p, rng)
+        restriction = draw_restriction(circuit, p, rng)
         # a gate outside the exceptional ones has at most one free input
         crowded = {i for j in exceptional_gates(circuit, restriction.free)
                    for i, _ in circuit.bottom[j].inputs}
@@ -521,8 +515,9 @@ def solve(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     is an InputError.  params reports `restriction_params` only when they
     chose p, and is None otherwise.  The 2^(n - |S|) rows outside S are
     enumerated, at most 2^max_branch_bits of them, and a circuit of more
-    than MAX_VARS variables is refused; cnt.assignments counts the rows
-    examined.  The returned witness, if any, is verified before return.
+    than MAX_VARS variables is refused; a circuit with none has one empty
+    row.  cnt.assignments counts the rows examined.  The returned witness,
+    if any, is verified before return.
     """
     require_threshold(circuit, "solve")
     params = None

@@ -32,6 +32,9 @@ from .vecdom import find_dominating_pair
 
 MAX_ROWS = 62
 MAX_HALF_VARS = 28
+# a half table holds (normalized rows + 1) * arity^half int64 entries, and a
+# solve peaks near 24 bytes per entry: 2^24 entries is about 400 MB
+MAX_TABLE_ENTRIES = 1 << 24
 # tags are int64: a half of more than 2^62 assignments is refused at any guard
 TAG_BITS = 62
 
@@ -246,8 +249,9 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     """Find a feasible assignment by splitting and listing, or report None.
 
     The guard refuses systems whose larger half has more than
-    2^max_half_vars assignments, or more than 2^TAG_BITS whatever the guard.
-    cnt.vectors grows by the rows of both pruned half lists, the rows
+    2^max_half_vars assignments, or more than 2^TAG_BITS whatever the guard,
+    and then those whose unpruned half table, (normalized rows + 1) *
+    arity^ceil(n/2) entries, exceeds MAX_TABLE_ENTRIES.  cnt.vectors grows by the rows of both pruned half lists, the rows
     handed to the dominating-pair search.
     """
     cnt = counters if counters is not None else WorkCounters()
@@ -262,6 +266,11 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     if half > limit or (arity ** half - 1).bit_length() > limit:
         raise ResourceGuardError(
             f"{arity}^{half} half assignments exceeds the 2^{limit} guard")
+    entries = (len(rows) + 1) * arity ** half
+    if entries > MAX_TABLE_ENTRIES:
+        raise ResourceGuardError(
+            f"{entries} half-table entries exceeds the {MAX_TABLE_ENTRIES} "
+            "guard")
 
     first, second = half_lists(sys, rows)
     cnt.vectors += len(first.vectors) + len(second.vectors)

@@ -84,22 +84,24 @@ def expected_savings(p: Fraction, densities: dict[int, Fraction],
                for f, cf in densities.items())
 
 
-def grid_size(c: Fraction, kappa: int = DEFAULT_KAPPA) -> int:
-    """Number of grid points scanned for a circuit of wire density c."""
+def grid_size(c: Fraction) -> int:
+    """Number of grid points scanned for a circuit of wire density c:
+    ceil(DEFAULT_KAPPA * c^2 * log2(max(c, 2))), 0 when c is not positive."""
     c = Fraction(c)
     if c <= 0:
         return 0
-    return math.ceil(kappa * c * c * _log2_fraction(max(c, Fraction(2))))
+    return math.ceil(DEFAULT_KAPPA * c * c * _log2_fraction(max(c, Fraction(2))))
 
 
-def p_grid(c: Fraction, kappa: int = DEFAULT_KAPPA) -> tuple[Fraction, ...]:
-    """The candidate free probabilities 2^-1, ..., 2^-I, largest first."""
-    return tuple(Fraction(1, 1 << i) for i in range(1, grid_size(c, kappa) + 1))
+def p_grid(c: Fraction) -> tuple[Fraction, ...]:
+    """The candidate free probabilities 2^-1, ..., 2^-I, largest first, for
+    I = grid_size(c)."""
+    return tuple(Fraction(1, 1 << i) for i in range(1, grid_size(c) + 1))
 
 
-def choose_p(densities: dict[int, Fraction], c: Fraction,
-             kappa: int = DEFAULT_KAPPA) -> Fraction:
-    """Grid point with the best expected savings; ties go to the larger p.
+def choose_p(densities: dict[int, Fraction], c: Fraction) -> Fraction:
+    """Point of p_grid(c) with the best expected savings; ties go to the
+    larger p.
 
     The grid is scored from the largest p down and stops at the first point
     below the knee of the largest fan-in: from there on every class scores
@@ -110,7 +112,7 @@ def choose_p(densities: dict[int, Fraction], c: Fraction,
         return Fraction(1)
     f_max = max(densities)
     best_p, best_score = None, None
-    for cand in p_grid(c, kappa):
+    for cand in p_grid(c):
         score = expected_savings(cand, densities, c)
         if best_score is None or score > best_score:
             best_p, best_score = cand, score
@@ -131,13 +133,14 @@ def adversarial_densities(c: int) -> dict[int, Fraction]:
 
 def wire_distribution(circuit: SymmetricCircuit) -> dict[int, Fraction]:
     """Wire density per weighted-fan-in class: class f holds f wires for each
-    of its gates, divided by the variable count."""
-    if circuit.n_vars < 1:
-        raise InputError("circuit must have at least one variable")
+    of its gates, divided by the variable count.  A gate with no inputs
+    carries no wires and has no class, so a circuit with no variables has
+    an empty distribution."""
     out: dict[int, Fraction] = {}
     for g in circuit.bottom:
         f = g.weighted_fan_in
-        out[f] = out.get(f, Fraction(0)) + Fraction(f, circuit.n_vars)
+        if f:
+            out[f] = out.get(f, Fraction(0)) + Fraction(f, circuit.n_vars)
     return out
 
 
@@ -157,8 +160,10 @@ def solve_symmetric(circuit: SymmetricCircuit, *, seed: Optional[int] = None,
     InputError.  Under a top predicate other than `ge` the variables that
     widen the top sum most leave S until eliminate's guard admits it.  The
     2^(n - |S|) rows outside S are enumerated, at most 2^max_branch_bits of
-    them; cnt.assignments counts the rows examined.  params is None: only p
-    is chosen.  The returned witness, if any, is verified.
+    them; a circuit with no variables has one empty row, and its empty wire
+    distribution gives p = 1.  cnt.assignments counts the rows examined.
+    params is None: only p is chosen.  The returned witness, if any, is
+    verified.
     """
     if p is None and force_restriction:
         densities = wire_distribution(circuit)

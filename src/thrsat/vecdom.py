@@ -109,11 +109,10 @@ def _child(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     return _search(a, b, ia, ib, c0, cnt, depth + 1, depth_limit)
 
 
-def find_dominating_pair(a: np.ndarray, b: np.ndarray,
-                         counters: Optional[VecdomCounters] = None
+def find_dominating_pair(a: np.ndarray, b: np.ndarray
                          ) -> tuple[Optional[tuple[int, int]], VecdomCounters]:
     """Return (i, j) with a[i] >= b[j] in every coordinate, or None if no
-    such pair exists, together with the work counters for the run.
+    such pair exists, together with fresh work counters for this run.
 
     a and b are (rows, d) int64 arrays with the same d.
     """
@@ -123,7 +122,7 @@ def find_dominating_pair(a: np.ndarray, b: np.ndarray,
             raise InputError("both sides must be (rows, d) int64 arrays")
     if a.shape[1] != b.shape[1]:
         raise InputError("both sides must have the same dimension")
-    cnt = counters if counters is not None else VecdomCounters()
+    cnt = VecdomCounters()
     if not len(a) or not len(b):
         cnt.recursion_nodes += 1
         return None, cnt

@@ -165,6 +165,56 @@ def test_ilp_half_guard_exits_one(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_table_guard_exits_one(tmp_path):
+    # 2^28 half assignments pass the bit guard, but their table of 2^28
+    # int64 entries would need about 6 GB
+    big = tmp_path / "long.ilp"
+    big.write_text("ilp 56 0 2\n")
+    res = run_cli("solve", "ilp", str(big))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "guard" in res.stderr
+
+
+def test_ilp_arity_errors_exit_one(tmp_path):
+    """A SAT witness of arity above 10 has no digit string, and an arity
+    below 2 is refused on the header's line: exit 1 with an error line, no
+    traceback.  An UNSAT system of arity 11 still prints UNSAT."""
+    wide = tmp_path / "wide.ilp"
+    wide.write_text("ilp 1 1 11\nrow ge 10 0:1\n")
+    unary = tmp_path / "unary.ilp"
+    unary.write_text("ilp 1 1 1\nrow ge 0 0:1\n")
+    unsat = tmp_path / "unsat.ilp"
+    unsat.write_text("ilp 1 1 11\nrow ge 11 0:1\n")
+    for verb in ("solve", "oracle"):
+        for path, message in ((wide, "arity 11"), (unary, "line 1:")):
+            res = run_cli(verb, "ilp", str(path))
+            assert res.returncode == 1, (verb, path.name)
+            assert "error:" in res.stderr and message in res.stderr, res.stderr
+            assert "Traceback" not in res.stderr
+        res = run_cli(verb, "ilp", str(unsat))
+        assert res.returncode == 20 and res.stdout.strip() == "UNSAT"
+
+
+def test_gen_refuses_weight_bound_below_one():
+    for args in (["circuit", "--n", "4", "--c", "1", "--weight-bound", "0"],
+                 ["ilp", "--n", "4", "--rows", "2", "--weight-bound", "-1"]):
+        res = run_cli("gen", *args)
+        assert res.returncode == 1, args
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_solve_and_oracle_agree_with_no_variables(tmp_path):
+    # the cube of no variables is one empty row: SAT with the empty witness
+    # when the top accepts the sum 0, UNSAT otherwise
+    for threshold, code in ((0, 10), (1, 20)):
+        path = tmp_path / f"empty{threshold}.tc2"
+        path.write_text(f"tc2 0 0\ntop {threshold}\n")
+        solved = run_cli("solve", "circuit", str(path))
+        brute = run_cli("oracle", "circuit", str(path))
+        assert solved.returncode == brute.returncode == code, solved.stderr
+        assert solved.stdout == brute.stdout
+
+
 def test_variable_guard_exits_one(tmp_path):
     # 23 bytes declaring 2^31 - 1 variables: refused before any per-variable
     # loop

@@ -162,11 +162,6 @@ def test_generate_same_spec_same_instance():
     assert generate(spec) == generate(spec)
 
 
-def test_generate_eq_and_vectors():
-    a, b = generate(GenSpec(kind="vectors", n=30, rows=4, seed=2))
-    assert a.shape == b.shape == (30, 4)
-
-
 def test_genspec_validation():
     with pytest.raises(InputError):
         GenSpec(kind="nonsense", n=4)
@@ -178,4 +173,8 @@ def test_genspec_validation():
         generate(GenSpec(kind="threshold_circuit", n=4))
     with pytest.raises(InputError):
         generate(GenSpec(kind="ilp", n=4))
+    for kind in ("threshold_circuit", "symmetric_circuit", "ilp"):
+        for bound in (0, -1):
+            with pytest.raises(InputError):
+                GenSpec(kind=kind, n=4, c=1, rows=2, weight_bound=bound)
 

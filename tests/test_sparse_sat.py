@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from thrsat import sparse_sat
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
-from thrsat.model import (Predicate, ThresholdCircuit, ThresholdGate,
-                          WireStats, evaluate, wire_stats)
+from thrsat.model import (Predicate, PredKind, SymmetricCircuit, SymmetricGate,
+                          ThresholdCircuit, ThresholdGate, WireStats,
+                          evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_fixed_fanin_circuit, random_mixed_circuit,
                            random_symmetric_circuit)
@@ -23,8 +24,7 @@ from thrsat.sparse_sat import (DEFAULT_DELTA, draw_restriction, eliminate,
                                exceptional_gates, fanin_separation,
                                gain_bounds, greedy_independent_set,
                                ilp_for_guess,
-                               instance_seed, restriction_params,
-                               sample_restriction, solve)
+                               instance_seed, restriction_params, solve)
 from thrsat.splitlist import verify
 from thrsat.symsat import solve_symmetric
 
@@ -123,13 +123,6 @@ def test_exceptional_gates_counts_two_free_inputs():
     assert exceptional_gates(circuit, {0, 1, 2, 3}) == (0, 1)
 
 
-def test_sample_restriction_reports_count():
-    circuit = random_mixed_circuit(16, 32, seed=9)
-    params = restriction_params(circuit)
-    restriction, exc = sample_restriction(circuit, params.p, Random(0))
-    assert exc == len(exceptional_gates(circuit, restriction.free))
-
-
 def test_sample_restriction_keeps_the_first_draw():
     """A draw with many exceptional gates is kept as drawn, not redrawn in
     favour of a smaller free set."""
@@ -139,10 +132,10 @@ def test_sample_restriction_keeps_the_first_draw():
     cap = 6 * params.delta * params.p * circuit.n_vars
     seed = next(s for s in range(100) if len(exceptional_gates(
         circuit, draw_restriction(circuit, params.p, Random(s)).free)) > cap)
-    restriction, exc = sample_restriction(circuit, params.p, Random(seed))
+    restriction = solve(circuit, seed=seed, p=params.p).restriction
     first = draw_restriction(circuit, params.p, Random(seed))
     assert restriction.free == first.free
-    assert exc == len(exceptional_gates(circuit, first.free)) > cap
+    assert len(exceptional_gates(circuit, restriction.free)) > cap
 
 
 def test_ilp_for_guess_encodes_firing_pattern():
@@ -559,15 +552,15 @@ def test_solvers_refuse_p_outside_the_unit_interval(solver, p):
 def test_solvers_share_one_draw(monkeypatch):
     """On a threshold circuit both entry points reach the one driver: with
     the same p and seed, given or derived from the instance, they draw the
-    same restriction through sample_restriction and return the same
+    same restriction through draw_restriction and return the same
     eliminated set and witness."""
     draws = []
 
     def counted(circuit, p, rng):
         draws.append(p)
-        return sample_restriction(circuit, p, rng)
+        return draw_restriction(circuit, p, rng)
 
-    monkeypatch.setattr(sparse_sat, "sample_restriction", counted)
+    monkeypatch.setattr(sparse_sat, "draw_restriction", counted)
     verdicts = set()
     for seed in range(12):
         circuit = random_mixed_circuit(10, 20, seed=seed, direct_count=2)
@@ -692,6 +685,29 @@ def test_solvers_refuse_circuits_past_the_variable_guard():
         solve(over, p=Fraction(1))
     edge = ThresholdCircuit(sparse_sat.MAX_VARS, (), (), ((5, 1),), 1)
     assert solve(edge, p=Fraction(1)).satisfiable
+
+
+def test_solvers_decide_circuits_with_no_variables():
+    """A circuit with no variables is one empty row: both solvers decide it
+    on every route, as brute_circuit_sat does, also with a gate that has no
+    inputs (sum 0, so `ge 0` fires and adds its top weight)."""
+    verdicts = set()
+    for top in (Predicate.ge(0), Predicate.ge(1), Predicate.eq(0)):
+        for bottom, weights in (((), ()),
+                                ((SymmetricGate((), Predicate.ge(0)),), (1,))):
+            circuit = SymmetricCircuit(0, bottom, weights, (), top)
+            expected = brute_circuit_sat(circuit)
+            verdicts.add(expected is not None)
+            solvers = [solve_symmetric]
+            if top.kind is PredKind.GE:
+                solvers.append(solve)
+            for solver in solvers:
+                for kwargs in ({}, {"force_restriction": True},
+                               {"p": Fraction(1, 2)}):
+                    outcome = solver(circuit, seed=0, **kwargs)
+                    assert outcome.witness == expected, (top, bottom, kwargs)
+                    assert outcome.eliminated == () and outcome.branches == 1
+    assert verdicts == {False, True}
 
 
 def test_solve_lex_witness_on_unsat_free_set():

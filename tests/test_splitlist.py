@@ -1,5 +1,6 @@
 """Tests for the split-and-list constraint solver."""
 
+import time
 from random import Random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrsat import splitlist
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
 from thrsat.model import ACCUMULATION_GUARD
@@ -235,6 +237,24 @@ def test_half_guard_counts_assignments_not_bits():
         solve_ilp(system, max_half_vars=6)
     witness, _ = solve_ilp(system, max_half_vars=7)
     assert verify(system, witness)
+
+
+def test_table_guard(monkeypatch):
+    """A half table of (normalized rows + 1) * arity^ceil(n/2) entries past
+    MAX_TABLE_ENTRIES is refused before any listing, although the half
+    fits the bit guard; the bound is inclusive."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError):
+        solve_ilp(IneqSystem(56, (), 2))
+    assert time.perf_counter() - start < 0.5
+    # an equality is two normalized rows: 3 * 3^3 entries
+    system = IneqSystem(6, (Row(((0, 1), (5, 1)), Rel.EQ, 3),), 3)
+    monkeypatch.setattr(splitlist, "MAX_TABLE_ENTRIES", 3 * 27)
+    witness, _ = solve_ilp(system)
+    assert verify(system, witness)
+    monkeypatch.setattr(splitlist, "MAX_TABLE_ENTRIES", 3 * 27 - 1)
+    with pytest.raises(ResourceGuardError):
+        solve_ilp(system)
 
 
 def test_accumulation_guard():

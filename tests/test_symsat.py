@@ -171,8 +171,9 @@ def test_grid_size_formula():
     assert grid_size(Fraction(2)) == DEFAULT_KAPPA * 4
     assert grid_size(Fraction(3)) == math.ceil(
         DEFAULT_KAPPA * 9 * math.log2(3))
-    assert p_grid(Fraction(1), 4)[0] == Fraction(1, 2)
-    assert len(p_grid(Fraction(1), 4)) == 4
+    assert p_grid(Fraction(1))[0] == Fraction(1, 2)
+    assert p_grid(Fraction(1))[-1] == Fraction(1, 1 << DEFAULT_KAPPA)
+    assert len(p_grid(Fraction(1))) == DEFAULT_KAPPA
 
 
 def test_choose_p_is_grid_argmax():
@@ -182,11 +183,11 @@ def test_choose_p_is_grid_argmax():
                 for _ in range(rng.randint(1, 5))}
         c = sum(dens.values()) + Fraction(rng.randint(0, 4), 4)
         best, best_score = None, None
-        for cand in p_grid(c, 8):
+        for cand in p_grid(c):
             score = expected_savings(cand, dens, c)
             if best_score is None or score > best_score:
                 best, best_score = cand, score
-        assert choose_p(dens, c, kappa=8) == best
+        assert choose_p(dens, c) == best
 
 
 def test_choose_p_stops_below_the_knee(monkeypatch):
@@ -248,6 +249,25 @@ def test_wire_distribution():
     circuit = SymmetricCircuit(4, gates, (1, 1, 1), (), Predicate.ge(1))
     dens = wire_distribution(circuit)
     assert dens == {2: Fraction(2 * 2, 4), 4: Fraction(4, 4)}
+
+
+def test_gate_with_no_inputs_has_no_wire_class():
+    """A gate with no inputs carries no wires: wire_distribution skips it,
+    and a forced restriction decides the circuit as the default route and
+    brute force do."""
+    verdicts = set()
+    for seed in range(6):
+        base = random_symmetric_circuit(8, 16, seed=seed)
+        circuit = replace(
+            base, bottom=base.bottom + (SymmetricGate((), Predicate.eq(0)),),
+            top_gate_weights=base.top_gate_weights + (2,))
+        assert wire_distribution(circuit) == wire_distribution(base)
+        expected = brute_circuit_sat(circuit) is not None
+        verdicts.add(expected)
+        for kwargs in ({}, {"force_restriction": True}):
+            outcome = solve_symmetric(circuit, seed=seed, **kwargs)
+            assert outcome.satisfiable == expected, (seed, kwargs)
+    assert verdicts == {False, True}
 
 
 # --- the solver -------------------------------------------------------------

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from thrsat.errors import InputError
 from thrsat.oracle import brute_domination, random_domination
-from thrsat.vecdom import (VecdomCounters, count_bound, dominates,
-                           find_dominating_pair)
+from thrsat.vecdom import count_bound, dominates, find_dominating_pair
 
 
 def make_instance(a_rows, b_rows, d):
@@ -121,11 +120,3 @@ def test_boundary_checks_shape_and_dtype():
             find_dominating_pair(bad, a)
 
 
-def test_counters_accumulate():
-    cnt = VecdomCounters()
-    a, b = random_domination(50, 50, 3, seed=1)
-    find_dominating_pair(a, b, counters=cnt)
-    before = cnt.recursion_nodes
-    assert before > 0
-    find_dominating_pair(a, b, counters=cnt)
-    assert cnt.recursion_nodes == 2 * before
