@@ -11,11 +11,10 @@ default S is a greedy independent set, chosen without randomness.  When
 the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
 more free inputs); an empty S makes the kernel a cube scan.  The driver
-checks the free probability p, draws the restriction from a seeded
-generator, finds its exceptional gates once and calls the kernel; the two
-entry points differ only in their default p.  A circuit with no variables
-needs no special case: its cube is one empty row, which the kernel decides
-like any other.
+checks the free probability p, seeds the draw and calls the kernel; the
+two entry points differ only in their default p.  A circuit with no
+variables needs no special case: its cube is one empty row, which the
+kernel decides like any other.
 
 `ilp_for_guess` keeps the paper's reduction from a guess of which gates
 fire to a linear system for the split-and-list search.  Every witness is
@@ -459,10 +458,10 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
     empty row.  With p None, eliminate the greedy independent set and draw
     nothing.  Otherwise check 0 < p <= 1, draw one restriction at p from
     Random(seed), or from the instance's own seed, and eliminate its free
-    variables outside the exceptional gates, which are found once.  Under a
-    top other than `ge`, the variables with the largest gain_bounds, the
-    highest index first among equals, leave the set until its spread fits
-    eliminate's guard.  params is only reported."""
+    variables outside the exceptional gates.  Under a top other than `ge`,
+    the variables with the largest gain_bounds, the highest index first
+    among equals, leave the set until its spread fits eliminate's guard.
+    params is only reported."""
     cnt = counters if counters is not None else WorkCounters()
     n = circuit.n_vars
     if n > MAX_VARS:

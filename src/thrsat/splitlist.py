@@ -251,8 +251,9 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     The guard refuses systems whose larger half has more than
     2^max_half_vars assignments, or more than 2^TAG_BITS whatever the guard,
     and then those whose unpruned half table, (normalized rows + 1) *
-    arity^ceil(n/2) entries, exceeds MAX_TABLE_ENTRIES.  cnt.vectors grows by the rows of both pruned half lists, the rows
-    handed to the dominating-pair search.
+    arity^ceil(n/2) int64 entries, exceeds MAX_TABLE_ENTRIES.  cnt.vectors
+    grows by the rows of both pruned half lists, the rows handed to the
+    dominating-pair search.
     """
     cnt = counters if counters is not None else WorkCounters()
     n, arity = sys.n_vars, sys.arity

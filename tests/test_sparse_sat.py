@@ -124,8 +124,8 @@ def test_exceptional_gates_counts_two_free_inputs():
 
 
 def test_sample_restriction_keeps_the_first_draw():
-    """A draw with many exceptional gates is kept as drawn, not redrawn in
-    favour of a smaller free set."""
+    """A draw with many exceptional gates is kept by solve as drawn, not
+    redrawn in favour of a smaller free set."""
     circuit = random_mixed_circuit(24, 48, seed=9)
     params = replace(restriction_params(circuit), p=Fraction(1, 2))
     # the count above which draws used to be redrawn
