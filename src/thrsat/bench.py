@@ -3,7 +3,7 @@
 Records come out as comma-separated lines so the output can be piped into
 any spreadsheet or plotting tool.  The headline column is the empirical
 exponent log2(total basic operations) / n: a full cube scan sits at 1.0 and
-anything the restriction pipeline saves shows up as a smaller value.
+anything the eliminated set saves shows up as a smaller value.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ class BenchRecord:
     assignments: int
     vectors: int
     comparisons: int
-    guesses: int
-    eq_solves: int
+    recursion_nodes: int
+    median_selections: int
     empirical_exponent: float
 
     def to_csv(self) -> str:
@@ -72,8 +72,9 @@ def _bench(count: int, seed: int, name: str, solver: str, run,
 def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
                    fan_in: Optional[int] = None,
                    force_restriction: bool = False) -> list[BenchRecord]:
-    """Threshold-circuit suite through the restriction solver, with weights of
-    absolute value at most 8."""
+    """Threshold-circuit suite through the threshold solver, with weights of
+    absolute value at most 8; force_restriction draws the paper's
+    restriction, and otherwise the greedy set is eliminated."""
     dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
     return _bench(
         count, seed, f"tc-{n}-{c}", "solve",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -39,10 +40,9 @@ def _print_verdict(witness: Optional[Assignment]) -> int:
 
 
 def _print_counters(cnt: WorkCounters, eliminated: int) -> None:
-    print(f"counters: assignments={cnt.assignments} vectors={cnt.vectors} "
-          f"comparisons={cnt.comparisons} guesses={cnt.guesses} "
-          f"eq_solves={cnt.eq_solves} total={cnt.total()} "
-          f"eliminated={eliminated}", file=sys.stderr)
+    counts = " ".join(f"{k}={v}" for k, v in asdict(cnt).items())
+    print(f"counters: {counts} total={cnt.total()} eliminated={eliminated}",
+          file=sys.stderr)
 
 
 def _run_instance(args) -> int:
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Satisfiability for sparse depth-two threshold circuits.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve_p = subs.add_parser("solve", help="run the restriction solvers")
+    solve_p = subs.add_parser("solve", help="decide an instance with the solvers")
     _add_instance_args(solve_p)
     solve_p.set_defaults(func=_run_instance, use_oracle=False)
 

@@ -17,6 +17,8 @@ class ResourceGuardError(RuntimeError):
     """An operation was refused because it would exceed a size guard.
 
     The guards exist because every solver here is exponential in something;
-    they keep accidental huge inputs from hanging the process.  Most call
-    sites accept an override parameter.
+    they keep accidental huge inputs from hanging the process.  Two guards
+    take an override: the enumerated-bit guard of `solve` and
+    `solve_symmetric` (max_branch_bits) and the half-assignment guard of
+    `solve_ilp` (max_half_vars); the others are fixed.
     """

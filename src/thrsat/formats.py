@@ -29,10 +29,6 @@ from .splitlist import IneqSystem, Rel, Row
 INT_BOUND = 1 << 31
 MAX_WITNESS_ARITY = 10
 
-_REL_NAMES = {Rel.GE: "ge", Rel.GT: "gt", Rel.LE: "le", Rel.LT: "lt",
-              Rel.EQ: "eq"}
-_REL_BY_NAME = {name: rel for rel, name in _REL_NAMES.items()}
-
 
 class _Lines:
     """Comment-stripped token lines, consumed one at a time."""
@@ -209,9 +205,10 @@ def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
         lineno, tokens = lines.take("a `row` line")
         if tokens[0] != "row" or len(tokens) < 4:
             raise ParseError(lineno, "expected `row <rel> <rhs> <idx>:<w> ...`")
-        rel = _REL_BY_NAME.get(tokens[1])
-        if rel is None:
-            raise ParseError(lineno, f"unknown relation {tokens[1]!r}")
+        try:
+            rel = Rel(tokens[1])
+        except ValueError:
+            raise ParseError(lineno, f"unknown relation {tokens[1]!r}") from None
         rhs = _int(tokens[2], lineno)
         coeffs = _inputs(tokens[3:], lineno, n, "row")
         rows.append(_build(lineno, Row, coeffs, rel, rhs))
@@ -290,7 +287,7 @@ def emit_ilp(system: IneqSystem) -> str:
     out = [f"ilp {_num(system.n_vars)} {_num(len(system.rows))} "
            f"{_num(system.arity)}"]
     for j, row in enumerate(system.rows):
-        out.append(f"row {_REL_NAMES[row.rel]} {_num(row.rhs)} "
+        out.append(f"row {row.rel.value} {_num(row.rhs)} "
                    f"{_emit_inputs(row.coeffs, 'row', j)}")
     return "\n".join(out) + "\n"
 

@@ -232,6 +232,13 @@ def _fanin_plan(wires: int, fan_in: int, n: int) -> list[int]:
     return plan
 
 
+def _power_plan(n: int, levels: int) -> list[int]:
+    """n/2^j fan-ins of 2^j for each j in 1..levels; needs 2^levels | n."""
+    if n % (1 << levels):
+        raise InputError(f"n must be a multiple of 2^{levels}")
+    return [1 << j for j in range(1, levels + 1) for _ in range(n >> j)]
+
+
 def _random_plan(rng: Random, wires: int, n: int) -> list[int]:
     plan = []
     left = wires
@@ -272,10 +279,8 @@ def random_power_circuit(n: int, levels: int, seed: int, *,
     2^levels | n."""
     if levels < 1:
         raise InputError("need at least one level")
-    if n % (1 << levels):
-        raise InputError(f"n must be a multiple of 2^{levels}")
-    plan = [1 << j for j in range(1, levels + 1) for _ in range(n >> j)]
-    return _random_circuit(Random(seed), n, plan, weight_bound, 0)
+    return _random_circuit(Random(seed), n, _power_plan(n, levels),
+                           weight_bound, 0)
 
 
 def random_symmetric_circuit(n: int, wires: int, seed: int, *,
@@ -379,15 +384,12 @@ def generate(spec: GenSpec):
             raise InputError("circuit generation needs a positive wire budget c")
         wires = spec.c * spec.n
         if spec.distribution == "adversarial_pow2":
-            if spec.n % (1 << spec.c):
-                raise InputError(f"adversarial_pow2 needs 2^{spec.c} | n")
             if spec.kind == "threshold_circuit":
                 return random_power_circuit(spec.n, spec.c, spec.seed,
                                             weight_bound=1)
-            plan = [1 << j for j in range(1, spec.c + 1)
-                    for _ in range(spec.n >> j)]
             return random_symmetric_circuit(spec.n, wires, spec.seed,
-                                            weight_bound=1, plan=plan)
+                                            weight_bound=1,
+                                            plan=_power_plan(spec.n, spec.c))
         if spec.kind == "threshold_circuit":
             if spec.distribution == "fixed_fanin":
                 return random_fixed_fanin_circuit(spec.n, wires, spec.fan_in,

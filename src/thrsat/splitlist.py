@@ -253,7 +253,7 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     and then those whose unpruned half table, (normalized rows + 1) *
     arity^ceil(n/2) int64 entries, exceeds MAX_TABLE_ENTRIES.  cnt.vectors
     grows by the rows of both pruned half lists, the rows handed to the
-    dominating-pair search.
+    dominating-pair search, and the search's own counts are added to cnt.
     """
     cnt = counters if counters is not None else WorkCounters()
     n, arity = sys.n_vars, sys.arity
@@ -281,6 +281,8 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     else:
         pair, vcnt = find_dominating_pair(first.vectors, second.vectors)
         cnt.comparisons += vcnt.comparisons
+        cnt.recursion_nodes += vcnt.recursion_nodes
+        cnt.median_selections += vcnt.median_selections
         if pair is None:
             return None, cnt
 

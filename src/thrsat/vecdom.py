@@ -21,19 +21,12 @@ near-linear for fixed d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .counters import WorkCounters
 from .errors import InputError
-
-
-@dataclass
-class VecdomCounters:
-    recursion_nodes: int = 0
-    comparisons: int = 0
-    median_selections: int = 0
 
 
 def dominates(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -53,7 +46,7 @@ def count_bound(n: int, d: int) -> int:
 
 
 def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-            c0: int, cnt: VecdomCounters, depth: int, depth_limit: int):
+            c0: int, cnt: WorkCounters, depth: int, depth_limit: int):
     """Search the rows ia of A against the rows ib of B, both nonempty, on
     the coordinates from c0 on.  a and b are A and B transposed, (d, rows),
     so that a coordinate's entries are one row."""
@@ -100,7 +93,7 @@ def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
 
 
 def _child(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-           c0: int, cnt: VecdomCounters, depth: int, depth_limit: int):
+           c0: int, cnt: WorkCounters, depth: int, depth_limit: int):
     """Search a child of the node at depth; a child with an empty side holds
     no pair and is counted as a node without a call."""
     if not len(ia) or not len(ib):
@@ -110,9 +103,10 @@ def _child(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
 
 
 def find_dominating_pair(a: np.ndarray, b: np.ndarray
-                         ) -> tuple[Optional[tuple[int, int]], VecdomCounters]:
+                         ) -> tuple[Optional[tuple[int, int]], WorkCounters]:
     """Return (i, j) with a[i] >= b[j] in every coordinate, or None if no
-    such pair exists, together with fresh work counters for this run.
+    such pair exists, together with fresh work counters for this run: its
+    comparisons, recursion_nodes and median_selections.
 
     a and b are (rows, d) int64 arrays with the same d.
     """
@@ -122,7 +116,7 @@ def find_dominating_pair(a: np.ndarray, b: np.ndarray
             raise InputError("both sides must be (rows, d) int64 arrays")
     if a.shape[1] != b.shape[1]:
         raise InputError("both sides must have the same dimension")
-    cnt = VecdomCounters()
+    cnt = WorkCounters()
     if not len(a) or not len(b):
         cnt.recursion_nodes += 1
         return None, cnt

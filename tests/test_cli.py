@@ -46,9 +46,10 @@ def test_solve_unsat_exit_code():
 
 def test_counter_line_keys_and_order():
     """The stderr counter line keeps its keys in this order for every
-    instance kind, the counters that no route counts now included."""
-    keys = ["assignments", "vectors", "comparisons", "guesses", "eq_solves",
-            "total", "eliminated"]
+    instance kind and both verbs, the pair-search counts included where
+    they read 0."""
+    keys = ["assignments", "vectors", "comparisons", "recursion_nodes",
+            "median_selections", "total", "eliminated"]
     for kind, path in CORPUS:
         for verb in ("solve", "oracle"):
             line = run_cli(verb, kind, str(path)).stderr.strip().splitlines()[-1]

@@ -128,6 +128,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_ilp("ilp 2 2 2\nrow ge 1 0:1\nrow le 1 2:1\n")
     assert err.value.line == 3
+    # relation names are lower case; any other token is named on its line
+    with pytest.raises(ParseError) as err:
+        parse_ilp("ilp 2 2 2\nrow ge 1 0:1\nrow GE 1 1:1\n")
+    assert str(err.value) == "line 3: unknown relation 'GE'"
 
 
 def test_header_errors():

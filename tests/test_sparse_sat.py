@@ -630,7 +630,9 @@ def test_forced_restriction_routes_match_product_oracle(p, sizes):
             assert outcome.eliminated == eliminated
             rows = 1 << (n - len(eliminated))
             assert outcome.branches == rows
-            assert cnt.guesses == 0
+            # the circuit route never reaches the pair search
+            assert cnt.vectors == cnt.comparisons == cnt.recursion_nodes \
+                == cnt.median_selections == 0
             if sat:
                 assert evaluate(circuit, outcome.witness)
                 assert cnt.assignments <= rows

@@ -367,6 +367,11 @@ def test_unsat_with_both_lists_nonempty_recurses(system):
     pair, vcnt = find_dominating_pair(first.vectors, second.vectors)
     assert pair is None and vcnt.recursion_nodes > 1
     assert check_against_brute(system) is None
+    # solve_ilp adds all three of the search's counts to its counters
+    cnt = WorkCounters()
+    assert solve_ilp(system, counters=cnt)[0] is None
+    assert (cnt.comparisons, cnt.recursion_nodes, cnt.median_selections) \
+        == (vcnt.comparisons, vcnt.recursion_nodes, vcnt.median_selections)
 
 
 def test_tag_guard():

@@ -371,7 +371,9 @@ def test_forced_restriction_routes_match_product_oracle(p):
             assert outcome.restriction.free == free
             assert outcome.eliminated == _outside_exceptional(circuit, free)
             assert outcome.branches == 1 << (n - len(outcome.eliminated))
-            assert cnt.guesses == 0
+            # the circuit route never reaches the pair search
+            assert cnt.vectors == cnt.comparisons == cnt.recursion_nodes \
+                == cnt.median_selections == 0
             if outcome.witness is not None:
                 assert evaluate(circuit, outcome.witness)
                 assert cnt.assignments <= outcome.branches
