@@ -6,13 +6,13 @@ machinery (restriction parameters, vector domination, text formats).
 """
 from .counters import WorkCounters
 from .errors import InputError, ParseError, ResourceGuardError
-from .model import (Assignment, Predicate, Restriction, SymmetricCircuit,
-                    SymmetricGate, ThresholdCircuit, ThresholdGate, evaluate,
-                    wire_stats)
+from .model import (Assignment, IneqSystem, Predicate, Rel, Restriction, Row,
+                    SymmetricCircuit, SymmetricGate, ThresholdCircuit,
+                    ThresholdGate, evaluate, wire_stats)
 from .oracle import (GenSpec, brute_circuit_sat, brute_domination, brute_ilp,
                      generate)
 from .sparse_sat import SolveOutcome, solve
-from .splitlist import IneqSystem, Rel, Row, solve_ilp
+from .splitlist import solve_ilp
 from .symsat import solve_symmetric
 from .vecdom import find_dominating_pair
 

@@ -19,12 +19,11 @@ Constraint systems use `ilp <n> <m> <arity>` and rows
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .errors import InputError, ParseError
-from .model import (Assignment, Predicate, PredKind, SymmetricCircuit,
-                    SymmetricGate, require_threshold)
-from .splitlist import IneqSystem, Rel, Row
+from .model import (Assignment, IneqSystem, Predicate, PredKind, Rel, Row,
+                    SymmetricCircuit, SymmetricGate, require_threshold)
 
 INT_BOUND = 1 << 31
 MAX_WITNESS_ARITY = 10
@@ -33,8 +32,8 @@ MAX_WITNESS_ARITY = 10
 class _Lines:
     """Comment-stripped token lines, consumed one at a time."""
 
-    def __init__(self, text: Union[str, Iterable[str]]):
-        raw = text.splitlines() if isinstance(text, str) else list(text)
+    def __init__(self, text: str):
+        raw = text.splitlines()
         self.items: list[tuple[int, list[str]]] = []
         for lineno, line in enumerate(raw, start=1):
             body = line.split("#", 1)[0]
@@ -183,7 +182,7 @@ def _parse_gates(lines: _Lines, n: int, m: int, gate_word: str,
                   pred, density)
 
 
-def parse_circuit(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
+def parse_circuit(text: str) -> SymmetricCircuit:
     lines = _Lines(text)
     _, (n, m) = _header(lines, "tc2", 2)
     # a `tc2` threshold t is the `sc2` predicate `ge t`
@@ -191,13 +190,13 @@ def parse_circuit(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
                         lambda tokens, lineno: _parse_pred(["ge", *tokens], lineno))
 
 
-def parse_symmetric(text: Union[str, Iterable[str]]) -> SymmetricCircuit:
+def parse_symmetric(text: str) -> SymmetricCircuit:
     lines = _Lines(text)
     _, (n, m, c) = _header(lines, "sc2", 3)
     return _parse_gates(lines, n, m, "sgate", "stop", _parse_pred, c)
 
 
-def parse_ilp(text: Union[str, Iterable[str]]) -> IneqSystem:
+def parse_ilp(text: str) -> IneqSystem:
     lines = _Lines(text)
     header, (n, m, arity) = _header(lines, "ilp", 3)
     rows = []

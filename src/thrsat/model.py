@@ -1,4 +1,4 @@
-"""Data model for depth-two circuits of symmetric gates.
+"""Data model: depth-two circuits of symmetric gates, and constraint systems.
 
 A circuit has one layer of gates feeding a single gate at the top.  Every
 gate applies a predicate (threshold, equality, congruence, or membership in
@@ -8,9 +8,15 @@ circuit is the member of this family whose predicates are all `ge`, built by
 ThresholdGate and ThresholdCircuit.  Sparseness is measured in bottom-layer
 wires: a gate with k inputs contributes k wires, direct wires are not
 counted.
+
+A constraint system is a set of integer-weighted rows 'sum <rel> rhs' over
+variables with values 0..arity-1.  Rel states each relation once: its
+comparison, `holds`, and its rows in the form 'sum >= rhs', `ge_forms`.
+`evaluate` decides a circuit on an assignment and `verify` a system.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -356,3 +362,75 @@ def evaluate_batch(circuit: SymmetricCircuit, values: np.ndarray) -> np.ndarray:
     for idx, w in circuit.direct_wires:
         acc += w * vals[:, idx].astype(np.int64)
     return circuit.top_pred.holds_batch(acc)
+
+
+class Rel(str, Enum):
+    """The relation of a constraint row 'sum <rel> rhs'."""
+
+    GE = "ge"
+    GT = "gt"
+    LE = "le"
+    LT = "lt"
+    EQ = "eq"
+
+    def holds(self, lhs, rhs):
+        """lhs <rel> rhs, on ints, or entrywise on int64 arrays."""
+        return _REL_TABLE[self][0](lhs, rhs)
+
+    @property
+    def ge_forms(self) -> tuple[tuple[int, int], ...]:
+        """(sign, shift) per row 'sign * sum >= sign * rhs + shift'; with
+        integer sums the rows together say 'sum <rel> rhs'.  A strict row is
+        shifted by one, and an equality is two opposite rows."""
+        return _REL_TABLE[self][1]
+
+
+_REL_TABLE = {
+    Rel.GE: (operator.ge, ((1, 0),)),
+    Rel.GT: (operator.gt, ((1, 1),)),
+    Rel.LE: (operator.le, ((-1, 0),)),
+    Rel.LT: (operator.lt, ((-1, 1),)),
+    Rel.EQ: (operator.eq, ((1, 0), (-1, 0))),
+}
+
+
+@dataclass(frozen=True)
+class Row:
+    coeffs: tuple[tuple[int, int], ...]
+    rel: Rel
+    rhs: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", weighted_terms(self.coeffs, "row"))
+        object.__setattr__(self, "rel", Rel(self.rel))
+        object.__setattr__(self, "rhs", int(self.rhs))
+
+
+@dataclass(frozen=True)
+class IneqSystem:
+    n_vars: int
+    rows: tuple[Row, ...]
+    arity: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if self.arity < 2:
+            raise InputError("arity must be at least 2")
+        if self.n_vars < 0:
+            raise InputError("n_vars must be nonnegative")
+        for row in self.rows:
+            for idx, _ in row.coeffs:
+                if idx >= self.n_vars:
+                    raise InputError(f"row reads x{idx} but system has {self.n_vars} variables")
+
+
+def verify(sys: IneqSystem, assignment: AssignmentLike) -> bool:
+    """Check an assignment row by row against the original relations."""
+    values = assignment.values if isinstance(assignment, Assignment) else tuple(assignment)
+    if len(values) != sys.n_vars:
+        raise InputError("assignment length does not match the system")
+    for v in values:
+        if not 0 <= v < sys.arity:
+            raise InputError("assignment value out of the variable domain")
+    return all(row.rel.holds(sum(w * values[i] for i, w in row.coeffs), row.rhs)
+               for row in sys.rows)

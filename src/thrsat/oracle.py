@@ -6,8 +6,8 @@ their own enumeration rather than the solvers' scan), so they stay
 trustworthy at the small sizes the tests use.  The generators build
 threshold and symmetric circuits, constraint systems and vector pairs; they
 are deterministic in their seed and produce circuits with exact wire
-budgets.  No circuit solver is imported: `splitlist` lends only the
-constraint-system types and its witness check.
+budgets.  No solver is imported: the instance types, `evaluate_batch` and
+the witness check `verify` come from `thrsat.model`.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (Assignment, Predicate, SymmetricCircuit, SymmetricGate,
-                    evaluate_batch)
-from .splitlist import IneqSystem, Rel, Row, verify
+from .model import (Assignment, IneqSystem, Predicate, Rel, Row,
+                    SymmetricCircuit, SymmetricGate, evaluate_batch, verify)
 
 MAX_BRUTE_VARS = 26
 _CHUNK = 1 << 16
@@ -75,12 +74,13 @@ def enumerate_satisfying(circuit: SymmetricCircuit) -> list[tuple[int, ...]]:
 def brute_ilp(system: IneqSystem, *,
               counters: Optional[WorkCounters] = None) -> Optional[Assignment]:
     """Scan all assignments of the constraint system, lexicographically.  A
-    system of more than 2^MAX_BRUTE_VARS assignments is refused."""
+    system of more than 2^MAX_BRUTE_VARS assignments is refused, one of more
+    than MAX_BRUTE_VARS variables before arity^n is built."""
     n, arity = system.n_vars, system.arity
-    total = arity ** n
-    if total > 1 << MAX_BRUTE_VARS:
+    if n > MAX_BRUTE_VARS or arity ** n > 1 << MAX_BRUTE_VARS:
         raise ResourceGuardError(
-            f"{total} assignments exceeds the 2^{MAX_BRUTE_VARS} brute guard")
+            f"{arity}^{n} assignments exceeds the 2^{MAX_BRUTE_VARS} brute guard")
+    total = arity ** n
     cnt = counters if counters is not None else WorkCounters()
     for base in range(0, total, _CHUNK):
         width = min(_CHUNK, total - base)
@@ -93,16 +93,7 @@ def brute_ilp(system: IneqSystem, *,
             sums = np.zeros(width, dtype=np.int64)
             for i, w in row.coeffs:
                 sums += w * block[:, i]
-            if row.rel is Rel.GE:
-                ok &= sums >= row.rhs
-            elif row.rel is Rel.GT:
-                ok &= sums > row.rhs
-            elif row.rel is Rel.LE:
-                ok &= sums <= row.rhs
-            elif row.rel is Rel.LT:
-                ok &= sums < row.rhs
-            else:
-                ok &= sums == row.rhs
+            ok &= row.rel.holds(sums, row.rhs)
         if ok.any():
             hit = int(np.argmax(ok))
             cnt.assignments += hit + 1

@@ -35,11 +35,10 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (ACCUMULATION_GUARD, Assignment, PredKind, Predicate,
-                    Restriction, SymmetricCircuit, WireStats,
-                    check_accumulation, evaluate, holds_columns,
+from .model import (ACCUMULATION_GUARD, Assignment, IneqSystem, PredKind,
+                    Predicate, Rel, Restriction, Row, SymmetricCircuit,
+                    WireStats, check_accumulation, evaluate, holds_columns,
                     require_threshold, wire_stats)
-from .splitlist import IneqSystem, Rel, Row
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_BRANCH_BITS = 30
@@ -455,25 +454,34 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
                        counters: Optional[WorkCounters]) -> SolveOutcome:
     """The one route of both solvers.  A circuit of more than MAX_VARS
     variables is a ResourceGuardError; one with none is decided by its one
-    empty row.  With p None, eliminate the greedy independent set and draw
-    nothing.  Otherwise check 0 < p <= 1, draw one restriction at p from
-    Random(seed), or from the instance's own seed, and eliminate its free
-    variables outside the exceptional gates.  Under a top other than `ge`,
-    the variables with the largest gain_bounds, the highest index first
-    among equals, leave the set until its spread fits eliminate's guard.
-    params is only reported."""
+    empty row.  p, when given, must satisfy 0 < p <= 1.  The eliminated set
+    holds at most one input of each gate, so a gate of fan-in f leaves at
+    least f - 1 enumerated bits: a gate past max_branch_bits + 1 is refused
+    before any set is chosen.  With p None, eliminate the greedy
+    independent set and draw nothing.  Otherwise draw one restriction at p
+    from Random(seed), or from the instance's own seed, and eliminate its
+    free variables outside the exceptional gates.  Under a top other than
+    `ge`, the variables with the largest gain_bounds, the highest index
+    first among equals, leave the set until its spread fits eliminate's
+    guard.  params is only reported."""
     cnt = counters if counters is not None else WorkCounters()
     n = circuit.n_vars
     if n > MAX_VARS:
         raise ResourceGuardError(
             f"{n} variables exceeds the {MAX_VARS} guard")
+    if p is not None:
+        p = Fraction(p)
+        if not 0 < p <= 1:
+            raise InputError("free probability p must lie in (0, 1]")
+    widest = max((g.fan_in for g in circuit.bottom), default=0)
+    if widest - 1 > max_branch_bits:
+        raise ResourceGuardError(
+            f"a gate of fan-in {widest} leaves at least 2^{widest - 1} "
+            f"enumerated rows, past the 2^{max_branch_bits} guard")
     if p is None:
         restriction = None
         eliminated = greedy_independent_set(circuit)
     else:
-        p = Fraction(p)
-        if not 0 < p <= 1:
-            raise InputError("free probability p must lie in (0, 1]")
         rng = Random(seed if seed is not None else instance_seed(circuit))
         restriction = draw_restriction(circuit, p, rng)
         # a gate outside the exceptional ones has at most one free input

@@ -1,4 +1,6 @@
-"""Feasibility of sparse integer-linear constraint systems over small domains.
+"""Feasibility of sparse integer-linear constraint systems over small domains,
+by split and list.  The systems themselves, their relations and the witness
+check `verify` live in `thrsat.model`; this module holds only the search.
 
 Every row is first rewritten as 'sum >= rhs' (a strict row becomes the
 non-strict row with rhs + 1, an equality two opposite rows).  The variables
@@ -19,15 +21,13 @@ that cannot reach its bound even with the largest completion is dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import ACCUMULATION_GUARD, Assignment, weighted_terms
+from .model import ACCUMULATION_GUARD, Assignment, IneqSystem, verify
 from .vecdom import find_dominating_pair
 
 MAX_ROWS = 62
@@ -42,48 +42,6 @@ TAG_BITS = 62
 NormRows = list[tuple[tuple[tuple[int, int], ...], int]]
 
 
-class Rel(str, Enum):
-    GE = "ge"
-    GT = "gt"
-    LE = "le"
-    LT = "lt"
-    EQ = "eq"
-
-
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[tuple[int, int], ...]
-    rel: Rel
-    rhs: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", weighted_terms(self.coeffs, "row"))
-        object.__setattr__(self, "rel", Rel(self.rel))
-        object.__setattr__(self, "rhs", int(self.rhs))
-
-
-@dataclass(frozen=True)
-class IneqSystem:
-    n_vars: int
-    rows: tuple[Row, ...]
-    arity: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.arity < 2:
-            raise InputError("arity must be at least 2")
-        if self.n_vars < 0:
-            raise InputError("n_vars must be nonnegative")
-        for row in self.rows:
-            for idx, _ in row.coeffs:
-                if idx >= self.n_vars:
-                    raise InputError(f"row reads x{idx} but system has {self.n_vars} variables")
-
-
-def _negated(coeffs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, -w) for i, w in coeffs)
-
-
 def normalize_rows(sys: IneqSystem) -> NormRows:
     """Rewrite every row as 'sum >= rhs', as (coeffs, rhs) pairs.
 
@@ -92,49 +50,14 @@ def normalize_rows(sys: IneqSystem) -> NormRows:
     whose worst row sum (arity - 1) * sum|w| + |rhs| reaches
     ACCUMULATION_GUARD is refused, so the int64 half tables cannot wrap.
     """
-    out: NormRows = []
-    for row in sys.rows:
-        if row.rel is Rel.GE:
-            out.append((row.coeffs, row.rhs))
-        elif row.rel is Rel.GT:
-            out.append((row.coeffs, row.rhs + 1))
-        elif row.rel is Rel.LE:
-            out.append((_negated(row.coeffs), -row.rhs))
-        elif row.rel is Rel.LT:
-            out.append((_negated(row.coeffs), -row.rhs + 1))
-        else:  # EQ
-            out.append((row.coeffs, row.rhs))
-            out.append((_negated(row.coeffs), -row.rhs))
+    out: NormRows = [(tuple((i, sign * w) for i, w in row.coeffs),
+                      sign * row.rhs + shift)
+                     for row in sys.rows for sign, shift in row.rel.ge_forms]
     for coeffs, rhs in out:
         if (sys.arity - 1) * sum(abs(w) for _, w in coeffs) + abs(rhs) \
                 >= ACCUMULATION_GUARD:
             raise InputError("row weights exceed the accumulation guard")
     return out
-
-
-def verify(sys: IneqSystem, assignment: Union[Assignment, Sequence[int]]) -> bool:
-    """Check an assignment row by row against the original relations."""
-    values = assignment.values if isinstance(assignment, Assignment) else tuple(assignment)
-    if len(values) != sys.n_vars:
-        raise InputError("assignment length does not match the system")
-    for v in values:
-        if not 0 <= v < sys.arity:
-            raise InputError("assignment value out of the variable domain")
-    for row in sys.rows:
-        s = sum(w * values[i] for i, w in row.coeffs)
-        if row.rel is Rel.GE:
-            ok = s >= row.rhs
-        elif row.rel is Rel.GT:
-            ok = s > row.rhs
-        elif row.rel is Rel.LE:
-            ok = s <= row.rhs
-        elif row.rel is Rel.LT:
-            ok = s < row.rhs
-        else:
-            ok = s == row.rhs
-        if not ok:
-            return False
-    return True
 
 
 def _decode(tag: int, var_indices: Sequence[int], arity: int, out: list[int]) -> None:

@@ -226,6 +226,28 @@ def test_variable_guard_exits_one(tmp_path):
     assert "error:" in res.stderr and "guard" in res.stderr
 
 
+def test_oracle_ilp_guard_exits_one(tmp_path):
+    # 2^20000 assignments: refused on the variable count, with no traceback
+    big = tmp_path / "many.ilp"
+    big.write_text("ilp 20000 0 2\n")
+    res = run_cli("oracle", "ilp", str(big))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "guard" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_wide_gate_exits_one(tmp_path):
+    # one gate over 2,000 variables leaves at least 2^1999 rows to enumerate
+    # whatever set is eliminated: refused before the greedy set is built
+    wide = tmp_path / "wide.tc2"
+    terms = " ".join(f"{i}:1" for i in range(2000))
+    wide.write_text(f"tc2 2000 1\ngate 1 {terms}\ntop 1 g0:1\n")
+    res = run_cli("solve", "circuit", str(wide))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "guard" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_missing_file_exits_one():
     res = run_cli("solve", "circuit", "/nonexistent/file.tc2")
     assert res.returncode == 1

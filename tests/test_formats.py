@@ -12,11 +12,11 @@ from thrsat.formats import (emit_circuit, emit_ilp, emit_symmetric,
                             emit_witness, parse_circuit, parse_ilp,
                             parse_symmetric, parse_witness)
 from thrsat.errors import InputError
-from thrsat.model import (Assignment, Predicate, SymmetricCircuit,
-                          SymmetricGate, ThresholdCircuit, ThresholdGate)
+from thrsat.model import (Assignment, IneqSystem, Predicate, Rel, Row,
+                          SymmetricCircuit, SymmetricGate, ThresholdCircuit,
+                          ThresholdGate)
 from thrsat.oracle import (GenSpec, generate, random_ilp,
                            random_symmetric_circuit)
-from thrsat.splitlist import IneqSystem, Rel, Row
 
 
 def test_single_gate_circuit_text():

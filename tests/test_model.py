@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.errors import InputError
-from thrsat.model import (Assignment, Restriction,
+from thrsat.model import (Assignment, Rel, Restriction, Row,
                           ThresholdCircuit, ThresholdGate, evaluate,
                           evaluate_batch, weighted_terms, wire_stats)
-from thrsat.splitlist import Rel, Row
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Tests for the brute-force references and the instance generators."""
 
+import ast
 import itertools
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from thrsat.errors import InputError, ResourceGuardError
 from thrsat import sparse_sat
-from thrsat.model import PredKind, SymmetricCircuit, evaluate
+from thrsat.model import IneqSystem, PredKind, SymmetricCircuit, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
                            brute_ilp, enumerate_satisfying, generate,
                            random_domination,
@@ -74,6 +76,31 @@ def test_brute_guard():
     circuit = random_mixed_circuit(27, 27, seed=0)
     with pytest.raises(ResourceGuardError):
         brute_circuit_sat(circuit)
+
+
+def test_oracle_imports_no_solver():
+    """The oracle checks the solvers, so it takes nothing from them: its
+    only package imports are model, counters and errors."""
+    path = Path(__file__).resolve().parent.parent / "src" / "thrsat" / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative |= {node.module} if node.module \
+                else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert relative == {"model", "counters", "errors"}
+    assert not any(name.split(".")[0] == "thrsat" for name in absolute)
+
+
+def test_brute_ilp_guard_builds_no_power():
+    # 2^20000 assignments: refused on the variable count, before the power
+    # is built or printed
+    with pytest.raises(ResourceGuardError, match=r"2\^20000"):
+        brute_ilp(IneqSystem(20000, (), 2))
 
 
 def test_brute_ilp_verifies():

@@ -549,6 +549,30 @@ def test_solvers_refuse_p_outside_the_unit_interval(solver, p):
         solver(circuit, seed=0, p=p)
 
 
+@pytest.mark.parametrize("solver", [solve, solve_symmetric])
+def test_wide_gate_refused_before_any_set_is_chosen(solver, monkeypatch):
+    """The eliminated set holds at most one input of each gate, so a gate
+    of fan-in f leaves at least f - 1 enumerated bits: a gate wider than
+    max_branch_bits + 1 is refused before the greedy set and before any
+    draw, on every route, and one of exactly that width is still solved."""
+    def gate_of(f):
+        return ThresholdCircuit(f, (ThresholdGate(tuple((i, 1) for i in range(f)), f),),
+                                (1,), (), 1)
+
+    assert solver(gate_of(12), seed=0, max_branch_bits=11).satisfiable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was chosen for a refused circuit")
+
+    monkeypatch.setattr(sparse_sat, "greedy_independent_set", refuse)
+    monkeypatch.setattr(sparse_sat, "draw_restriction", refuse)
+    for kwargs in ({}, {"force_restriction": True}, {"p": Fraction(1, 2)}):
+        with pytest.raises(ResourceGuardError):
+            solver(gate_of(sparse_sat.MAX_BRANCH_BITS + 2), seed=0, **kwargs)
+        with pytest.raises(ResourceGuardError):
+            solver(gate_of(13), seed=0, max_branch_bits=11, **kwargs)
+
+
 def test_solvers_share_one_draw(monkeypatch):
     """On a threshold circuit both entry points reach the one driver: with
     the same p and seed, given or derived from the instance, they draw the

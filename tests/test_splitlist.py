@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from thrsat import splitlist
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
-from thrsat.model import ACCUMULATION_GUARD
+from thrsat.model import ACCUMULATION_GUARD, IneqSystem, Rel, Row
 from thrsat.oracle import brute_half_lists, brute_ilp, random_ilp
-from thrsat.splitlist import (MAX_HALF_VARS, TAG_BITS, IneqSystem, Rel, Row,
-                              half_lists, normalize_rows, solve_ilp, verify)
+from thrsat.splitlist import (MAX_HALF_VARS, TAG_BITS, half_lists,
+                              normalize_rows, solve_ilp, verify)
 from thrsat.vecdom import find_dominating_pair
 
 
