@@ -3,7 +3,8 @@
 Four subcommands: `solve` runs the real solvers, `oracle` runs the
 brute-force reference deciders, `gen` prints a generated instance, and
 `bench` prints a CSV counter table.  Verdicts use SAT-solver exit codes
-(10 satisfiable, 20 unsatisfiable, 1 for any error); the witness goes to
+(10 satisfiable, 20 unsatisfiable, 1 for an input or resource error, and
+argparse's 2 for a malformed command line); the witness goes to
 standard output and the work counters to standard error, so pipelines can
 consume the verdict without scraping diagnostics.
 """
@@ -30,6 +31,12 @@ SAT_EXIT = 10
 UNSAT_EXIT = 20
 ERROR_EXIT = 1
 
+# The instance kinds the verbs take: each kind's text parser, emitter and
+# GenSpec kind.
+_KINDS = {"circuit": (parse_circuit, emit_circuit, "threshold_circuit"),
+          "symmetric": (parse_symmetric, emit_symmetric, "symmetric_circuit"),
+          "ilp": (parse_ilp, emit_ilp, "ilp")}
+
 
 def _print_verdict(witness: Optional[Assignment]) -> int:
     if witness is None:
@@ -48,50 +55,39 @@ def _print_counters(cnt: WorkCounters, eliminated: int) -> None:
 def _run_instance(args) -> int:
     """Decide one instance file: with the brute-force reference when
     args.use_oracle is set (the `oracle` verb), else with the solvers."""
-    text = Path(args.file).read_text(encoding="utf-8")
+    parse = _KINDS[args.kind][0]
+    instance = parse(Path(args.file).read_text(encoding="utf-8"))
     cnt = WorkCounters()
     eliminated = 0
-    if args.kind in ("circuit", "symmetric"):
-        circuit = parse_circuit(text) if args.kind == "circuit" \
-            else parse_symmetric(text)
-        if args.use_oracle:
-            witness = brute_circuit_sat(circuit, counters=cnt)
-        else:
-            kwargs = {}
-            if args.max_assigned is not None:
-                kwargs["max_branch_bits"] = args.max_assigned
-            solver = solve if args.kind == "circuit" else solve_symmetric
-            outcome = solver(circuit, seed=args.seed,
-                             force_restriction=args.force_restriction,
-                             counters=cnt, **kwargs)
-            witness = outcome.witness
-            eliminated = len(outcome.eliminated)
+    if args.use_oracle:
+        oracle = brute_ilp if args.kind == "ilp" else brute_circuit_sat
+        witness = oracle(instance, counters=cnt)
+    elif args.kind == "ilp":
+        kwargs = {}
+        if args.max_assigned is not None:
+            kwargs["max_half_vars"] = args.max_assigned
+        witness, _ = solve_ilp(instance, counters=cnt, **kwargs)
     else:
-        system = parse_ilp(text)
-        if args.use_oracle:
-            witness = brute_ilp(system, counters=cnt)
-        else:
-            kwargs = {}
-            if args.max_assigned is not None:
-                kwargs["max_half_vars"] = args.max_assigned
-            witness, _ = solve_ilp(system, counters=cnt, **kwargs)
+        kwargs = {}
+        if args.max_assigned is not None:
+            kwargs["max_branch_bits"] = args.max_assigned
+        solver = solve if args.kind == "circuit" else solve_symmetric
+        outcome = solver(instance, seed=args.seed,
+                         force_restriction=args.force_restriction,
+                         counters=cnt, **kwargs)
+        witness = outcome.witness
+        eliminated = len(outcome.eliminated)
     code = _print_verdict(witness)
     _print_counters(cnt, eliminated)
     return code
 
 
-_GEN_KINDS = {"circuit": "threshold_circuit",
-              "symmetric": "symmetric_circuit",
-              "ilp": "ilp"}
-
-
 def _cmd_gen(args) -> int:
-    spec = GenSpec(kind=_GEN_KINDS[args.kind], n=args.n, seed=args.seed,
+    _, emit, kind = _KINDS[args.kind]
+    spec = GenSpec(kind=kind, n=args.n, seed=args.seed,
                    c=args.c, rows=args.rows, weight_bound=args.weight_bound,
                    arity=args.arity, distribution=args.distribution,
                    fan_in=args.fan_in)
-    emit = {"circuit": emit_circuit, "symmetric": emit_symmetric,
-            "ilp": emit_ilp}[args.kind]
     sys.stdout.write(emit(generate(spec)))
     return 0
 
@@ -118,7 +114,7 @@ def _cmd_bench(args) -> int:
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("kind", choices=("circuit", "symmetric", "ilp"))
+    sub.add_argument("kind", choices=tuple(_KINDS))
     sub.add_argument("file", help="instance file")
     sub.add_argument("--seed", type=int, default=None,
                      help="restriction seed (default: derived from the instance)")
@@ -145,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.set_defaults(func=_run_instance, use_oracle=True)
 
     gen_p = subs.add_parser("gen", help="print a generated instance")
-    gen_p.add_argument("kind", choices=("circuit", "symmetric", "ilp"))
+    gen_p.add_argument("kind", choices=tuple(_KINDS))
     gen_p.add_argument("--n", type=int, required=True)
     gen_p.add_argument("--c", type=int, default=None,
                        help="wire-density budget (circuits)")

@@ -3,11 +3,14 @@
 Everything here is definitional: the brute-force deciders enumerate whole
 assignment spaces (vectorized, but with no algorithmic shortcuts, and with
 their own enumeration rather than the solvers' scan), so they stay
-trustworthy at the small sizes the tests use.  The generators build
-threshold and symmetric circuits, constraint systems and vector pairs; they
-are deterministic in their seed and produce circuits with exact wire
-budgets.  No solver is imported: the instance types, `evaluate_batch` and
-the witness check `verify` come from `thrsat.model`.
+trustworthy at the small sizes the tests use.  Every circuit generator is
+one core, `_random_circuit`, given a fan-in plan (random fan-ins, one fixed
+fan-in, or powers of two) and a predicate picker (`ge` only, or a mix of
+kinds); `generate` picks both from a GenSpec's distribution and kind.
+Constraint systems and vector pairs have their own generators.  All are
+deterministic in their seed, and circuits have exact wire budgets.  No
+solver is imported: the instance types, `evaluate_batch` and the witness
+check `verify` come from `thrsat.model`.
 """
 from __future__ import annotations
 
@@ -182,11 +185,13 @@ def _threshold_predicate(rng: Random, inputs) -> Predicate:
 
 
 def _random_predicate(rng: Random, inputs) -> Predicate:
-    lo = sum(min(w, 0) for _, w in inputs)
-    hi = sum(max(w, 0) for _, w in inputs)
+    """A `ge` predicate as `_threshold_predicate` draws it, or an `eq`,
+    `mod` or small membership predicate."""
     kind = rng.choices(("ge", "eq", "mod", "set"), weights=(4, 2, 2, 2))[0]
     if kind == "ge":
-        return Predicate.ge(rng.randint(lo + 1, hi))
+        return _threshold_predicate(rng, inputs)
+    lo = sum(min(w, 0) for _, w in inputs)
+    hi = sum(max(w, 0) for _, w in inputs)
     if kind == "eq":
         return Predicate.eq(rng.randint(lo, hi))
     if kind == "mod":
@@ -263,40 +268,25 @@ def random_mixed_circuit(n: int, wires: int, seed: int, *,
                            direct_count)
 
 
-def random_power_circuit(n: int, levels: int, seed: int, *,
-                         weight_bound: int = 8) -> SymmetricCircuit:
+def random_power_circuit(n: int, levels: int, seed: int) -> SymmetricCircuit:
     """Wire-density stress instance: for each j in 1..levels there are n/2^j
-    threshold gates of fan-in 2^j, one density unit per level.  Requires
-    2^levels | n."""
+    threshold gates of fan-in 2^j, one density unit per level, with weights
+    up to 8.  Requires 2^levels | n."""
     if levels < 1:
         raise InputError("need at least one level")
-    return _random_circuit(Random(seed), n, _power_plan(n, levels),
-                           weight_bound, 0)
+    return _random_circuit(Random(seed), n, _power_plan(n, levels), 8, 0)
 
 
 def random_symmetric_circuit(n: int, wires: int, seed: int, *,
                              weight_bound: int = 8,
-                             direct_count: int = 0,
-                             fan_in: Optional[int] = None,
-                             plan: Optional[list[int]] = None) -> SymmetricCircuit:
-    """Symmetric-gate circuit with exactly the requested bottom wires and a
-    mix of predicate kinds.
-
-    Fan-ins are random by default; fan_in pins them all to one size (with one
-    remainder gate), and plan pins the whole gate list explicitly.
-    """
+                             direct_count: int = 0) -> SymmetricCircuit:
+    """Symmetric-gate circuit with exactly the requested bottom wires split
+    into gates of random fan-ins, with a mix of predicate kinds."""
     if wires < 1:
         raise InputError("need at least one wire")
     rng = Random(seed)
-    if plan is not None:
-        if sum(plan) != wires:
-            raise InputError("plan does not add up to the wire budget")
-    elif fan_in is not None:
-        plan = _fanin_plan(wires, fan_in, n)
-    else:
-        plan = _random_plan(rng, wires, n)
-    return _random_circuit(rng, n, plan, weight_bound, direct_count,
-                           _random_predicate)
+    return _random_circuit(rng, n, _random_plan(rng, wires, n), weight_bound,
+                           direct_count, _random_predicate)
 
 
 def random_ilp(n: int, rows: int, arity: int, seed: int, *,
@@ -369,31 +359,27 @@ class GenSpec:
 
 
 def generate(spec: GenSpec):
-    """Build the instance a GenSpec describes; same spec, same instance."""
-    if spec.kind in ("threshold_circuit", "symmetric_circuit"):
-        if spec.c is None or spec.c < 1:
-            raise InputError("circuit generation needs a positive wire budget c")
-        wires = spec.c * spec.n
-        if spec.distribution == "adversarial_pow2":
-            if spec.kind == "threshold_circuit":
-                return random_power_circuit(spec.n, spec.c, spec.seed,
-                                            weight_bound=1)
-            return random_symmetric_circuit(spec.n, wires, spec.seed,
-                                            weight_bound=1,
-                                            plan=_power_plan(spec.n, spec.c))
-        if spec.kind == "threshold_circuit":
-            if spec.distribution == "fixed_fanin":
-                return random_fixed_fanin_circuit(spec.n, wires, spec.fan_in,
-                                                  spec.seed,
-                                                  weight_bound=spec.weight_bound)
-            return random_mixed_circuit(spec.n, wires, spec.seed,
-                                        weight_bound=spec.weight_bound)
-        return random_symmetric_circuit(spec.n, wires, spec.seed,
-                                        weight_bound=spec.weight_bound,
-                                        fan_in=spec.fan_in
-                                        if spec.distribution == "fixed_fanin"
-                                        else None)
-    if spec.rows is None or spec.rows < 1:
-        raise InputError("ilp generation needs a positive row count")
-    return random_ilp(spec.n, spec.rows, spec.arity, spec.seed,
-                      weight_bound=spec.weight_bound)
+    """Build the instance a GenSpec describes; same spec, same instance.
+
+    Every circuit is one `_random_circuit` call: the distribution picks the
+    fan-in plan (and weight bound 1 for adversarial_pow2), the kind picks
+    the predicates, `ge` only for threshold circuits.
+    """
+    if spec.kind == "ilp":
+        if spec.rows is None or spec.rows < 1:
+            raise InputError("ilp generation needs a positive row count")
+        return random_ilp(spec.n, spec.rows, spec.arity, spec.seed,
+                          weight_bound=spec.weight_bound)
+    if spec.c is None or spec.c < 1:
+        raise InputError("circuit generation needs a positive wire budget c")
+    rng = Random(spec.seed)
+    weight_bound = spec.weight_bound
+    if spec.distribution == "adversarial_pow2":
+        plan, weight_bound = _power_plan(spec.n, spec.c), 1
+    elif spec.distribution == "fixed_fanin":
+        plan = _fanin_plan(spec.c * spec.n, spec.fan_in, spec.n)
+    else:
+        plan = _random_plan(rng, spec.c * spec.n, spec.n)
+    predicate = _threshold_predicate if spec.kind == "threshold_circuit" \
+        else _random_predicate
+    return _random_circuit(rng, spec.n, plan, weight_bound, 0, predicate)

@@ -491,9 +491,11 @@ def _solve_eliminating(circuit: SymmetricCircuit, p: Optional[Fraction],
     if circuit.top_pred.kind is not PredKind.GE:
         bound = gain_bounds(circuit)
         kept = sorted(eliminated, key=lambda v: (bound[v], v))
-        while sum(bound[v] for v in kept) >= 1 << _BLOCK_ELEMENT_BITS:
-            kept.pop()
-        eliminated = tuple(sorted(kept))
+        # bounds are nonnegative, so the running sums only grow: the sums
+        # below the guard are those of the longest prefix that fits
+        sums = itertools.accumulate(bound[v] for v in kept)
+        fits = sum(1 for total in sums if total < 1 << _BLOCK_ELEMENT_BITS)
+        eliminated = tuple(sorted(kept[:fits]))
     bits = n - len(eliminated)
     if bits > max_branch_bits:
         raise ResourceGuardError(

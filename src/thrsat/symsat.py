@@ -105,14 +105,17 @@ def choose_p(densities: dict[int, Fraction], c: Fraction) -> Fraction:
 
     The grid is scored from the largest p down and stops at the first point
     below the knee of the largest fan-in: from there on every class scores
-    p/4, so every later point scores less.  An empty distribution means no
-    wires, where every variable may stay free.
+    p/4, so every later point scores less.  The points are made one at a
+    time, since the grid has 64 c^2 log2 c of them and the scan stops after
+    about log2(4 c f_max).  An empty distribution means no wires, where
+    every variable may stay free.
     """
     if not densities:
         return Fraction(1)
     f_max = max(densities)
     best_p, best_score = None, None
-    for cand in p_grid(c):
+    for i in range(1, grid_size(c) + 1):
+        cand = Fraction(1, 1 << i)
         score = expected_savings(cand, densities, c)
         if best_score is None or score > best_score:
             best_p, best_score = cand, score

@@ -1,6 +1,7 @@
 """Tests for the brute-force references and the instance generators."""
 
 import ast
+import hashlib
 import itertools
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrsat.errors import InputError, ResourceGuardError
+from thrsat.formats import emit_circuit, emit_ilp, emit_symmetric
 from thrsat import sparse_sat
 from thrsat.model import IneqSystem, PredKind, SymmetricCircuit, evaluate
 from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
@@ -205,3 +207,27 @@ def test_genspec_validation():
             with pytest.raises(InputError):
                 GenSpec(kind=kind, n=4, c=1, rows=2, weight_bound=bound)
 
+
+
+def test_generate_output_is_pinned():
+    """The emitted text of a fixed grid of GenSpecs, every kind by every
+    distribution, with the InputError message where a spec is refused,
+    hashes to the digest the generators gave when this test was written.
+    So a generator that draws its random numbers in another order, or
+    builds another instance from the same spec, fails here."""
+    emit = {"threshold_circuit": emit_circuit,
+            "symmetric_circuit": emit_symmetric, "ilp": emit_ilp}
+    digest = hashlib.sha256()
+    for kind, distribution, n, c, fan_in, bound, seed in itertools.product(
+            emit, ("uniform_fanin", "fixed_fanin", "adversarial_pow2"),
+            (4, 8, 16), (1, 3), (None, 1, 5), (1, 8), (0, 1)):
+        try:
+            spec = GenSpec(kind=kind, n=n, seed=seed, c=c, rows=c,
+                           weight_bound=bound, arity=2 + seed,
+                           distribution=distribution, fan_in=fan_in)
+            text = emit[kind](generate(spec))
+        except InputError as exc:
+            text = f"InputError: {exc}"
+        digest.update(text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "697dc6a9f85e810600a4be89aea9ad3e07a01c71551e25f72ed1a619e480c984")

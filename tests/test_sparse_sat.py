@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -375,6 +376,21 @@ def test_eliminate_trims_wide_tops():
                    top_pred=Predicate.eq(12000))
     outcome = solve_symmetric(tied)
     assert outcome.eliminated == (0, 1) and outcome.satisfiable
+
+
+def test_trim_of_a_wide_eq_top_is_one_pass():
+    """20,000 one-input gates of top weight 2^20 under an `eq` top: the
+    greedy set holds every variable and no variable fits the 2^14 guard, so
+    the trim empties the set and the 2^20000 rows are refused.  The trim
+    takes the longest fitting prefix in one pass; re-summing the set after
+    every removal would be quadratic in it."""
+    n = 20_000
+    gates = tuple(SymmetricGate(((i, 1),), Predicate.ge(1)) for i in range(n))
+    circuit = SymmetricCircuit(n, gates, (1 << 20,) * n, (), Predicate.eq(5))
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match=r"2\^20000 enumerated rows"):
+        solve_symmetric(circuit)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_eliminate_blocks_stay_under_the_element_guard(monkeypatch):

@@ -219,6 +219,47 @@ def test_choose_p_stops_below_the_knee(monkeypatch):
         assert len(calls) < len(grid)
 
 
+def test_choose_p_builds_no_grid(monkeypatch):
+    """choose_p makes its candidates one at a time and never calls p_grid,
+    whose tuple at weighted density 32 holds 327,680 Fractions with
+    denominators up to 2^327680.  It still returns the argmax of the grid,
+    and a circuit of density 32 is decided with the restriction, as the
+    brute force decides it."""
+    rng = Random(5)
+    cases = []
+    for _ in range(20):
+        dens = {rng.randint(1, 64): Fraction(rng.randint(1, 8), 8)
+                for _ in range(rng.randint(1, 5))}
+        c = sum(dens.values()) + Fraction(rng.randint(0, 4), 4)
+        grid = p_grid(c)
+        scores = [expected_savings(p, dens, c) for p in grid]
+        cases.append((dens, c, grid[scores.index(max(scores))]))
+
+    def refuse(c):
+        raise AssertionError("choose_p built the whole grid")
+
+    monkeypatch.setattr(symsat, "p_grid", refuse)
+    for dens, c, best in cases:
+        assert choose_p(dens, c) == best
+    # weighted fan-in 64 over two variables: the scan stops at the knee
+    dens, c = {64: Fraction(32)}, Fraction(32)
+    best, best_score = None, None
+    for i in itertools.count(1):
+        p = Fraction(1, 1 << i)
+        score = expected_savings(p, dens, c)
+        if best_score is None or score > best_score:
+            best, best_score = p, score
+        if p * 64 < Fraction(1, 4) / c:
+            break
+    assert choose_p(dens, c) == best
+    heavy = SymmetricCircuit(
+        2, (SymmetricGate(((0, 63), (1, 1)), Predicate.ge(1)),), (1,), (),
+        Predicate.ge(1))
+    assert wire_distribution(heavy) == dens
+    outcome = solve_symmetric(heavy, force_restriction=True)
+    assert outcome.satisfiable == (brute_circuit_sat(heavy) is not None)
+
+
 def test_choose_p_prefers_largest_below_knee_point():
     # Fan-in one at density c=1: the knee sits at p = 1/4, scores above it
     # are negative, and below it they grow as p/4, so p = 1/8 wins.
