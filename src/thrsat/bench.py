@@ -1,15 +1,19 @@
-"""Benchmark harness: run solvers on generated suites and report counters.
+"""Benchmark harness: run a solver on a generated suite and report counters.
 
-Records come out as comma-separated lines so the output can be piped into
-any spreadsheet or plotting tool.  The headline column is the empirical
-exponent log2(total basic operations) / n: a full cube scan sits at 1.0 and
+One runner, `bench_suite`, serves every suite: it generates instances at
+consecutive seeds, times the suite's solver on each, and returns one
+`BenchRecord` per instance.  Records come out as comma-separated lines so
+the output can be piped into any spreadsheet or plotting tool; the counter
+columns are `WorkCounters`' fields in order, so a new counter is a new
+column.  The headline column is the empirical exponent
+log2(total basic operations) / n: a full cube scan sits at 1.0 and
 anything the eliminated set saves shows up as a smaller value.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 from .counters import WorkCounters
@@ -18,15 +22,18 @@ from .sparse_sat import solve
 from .splitlist import solve_ilp
 from .symsat import solve_symmetric
 
-
-def empirical_exponent(total_ops: int, n: int) -> float:
-    return math.log2(max(total_ops, 1)) / max(n, 1)
+# Each suite's instance-name prefix, GenSpec kind, weight bound and solver.
+_SUITES = {"circuit": ("tc", "threshold_circuit", 8, solve),
+           "symmetric": ("sc", "symmetric_circuit", 3, solve_symmetric),
+           "ilp": ("ilp", "ilp", 8, solve_ilp)}
+SUITES = (*_SUITES, "speedup")
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark run; one CSV row, a column per field in field order.
-    The counter columns are WorkCounters' fields, under their names."""
+    """One benchmark run and one CSV row: a column per field in field
+    order, the counters as a column per `WorkCounters` field, and last the
+    empirical exponent computed from the counters."""
 
     instance: str
     n: int
@@ -34,78 +41,63 @@ class BenchRecord:
     solver: str
     verdict: str
     wall_time_ns: int
-    assignments: int
-    vectors: int
-    comparisons: int
-    recursion_nodes: int
-    median_selections: int
-    empirical_exponent: float
+    counters: WorkCounters
+
+    @property
+    def empirical_exponent(self) -> float:
+        return math.log2(max(self.counters.total(), 1)) / max(self.n, 1)
 
     def to_csv(self) -> str:
+        *head, counters = astuple(self)
         return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                        for v in astuple(self))
+                        for v in (*head, *counters, self.empirical_exponent))
 
 
-CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+def bench_suite(suite: str, count: int, *, n: int = 24, c: int = 1,
+                rows: int = 8, arity: int = 2, seed: int = 0,
+                fan_in: Optional[int] = None,
+                force_restriction: bool = False) -> list[BenchRecord]:
+    """Generate count instances of suite at seeds seed, seed + 1, ... and
+    time the suite's solver on each; instance s is named prefix-n-c-s, or
+    ilp-n-rows-s for a constraint system.
 
-
-def _bench(count: int, seed: int, name: str, solver: str, run,
-           spec: GenSpec) -> list[BenchRecord]:
-    """Generate count instances from spec at seeds seed, seed + 1, ... and
-    time run(instance, seed, counters), which returns the verdict, on
-    each.  The instances are named name-seed, and the c column is spec.c,
-    0 for a constraint system."""
-    out = []
+    circuit draws threshold circuits of density c, with every fan-in set to
+    fan_in, or drawn at random when it is None, and solves each with
+    force_restriction.  speedup is circuit with fan_in 3 when it is None.
+    symmetric draws symmetric circuits of density c and ignores fan_in.
+    ilp draws systems of rows rows over arity values per variable, ignores
+    c and force_restriction, and reads 0 in the c column.
+    """
+    if suite == "speedup":
+        suite = "circuit"
+        fan_in = 3 if fan_in is None else fan_in
+    prefix, kind, weight_bound, solver = _SUITES[suite]
+    if solver is solve_ilp:
+        name = f"{prefix}-{n}-{rows}"
+        spec = GenSpec(kind=kind, n=n, rows=rows, arity=arity,
+                       weight_bound=weight_bound)
+    else:
+        name = f"{prefix}-{n}-{c}"
+        fan_in = fan_in if suite == "circuit" else None
+        spec = GenSpec(kind=kind, n=n, c=c, weight_bound=weight_bound,
+                       distribution="uniform_fanin" if fan_in is None
+                       else "fixed_fanin", fan_in=fan_in)
+    records = []
     for s in range(seed, seed + count):
         instance = generate(replace(spec, seed=s))
         cnt = WorkCounters()
         start = time.perf_counter_ns()
-        satisfiable = run(instance, s, cnt)
+        if solver is solve_ilp:
+            satisfiable = solve_ilp(instance, counters=cnt)[0] is not None
+        else:
+            satisfiable = solver(instance, seed=s,
+                                 force_restriction=force_restriction,
+                                 counters=cnt).satisfiable
         elapsed = time.perf_counter_ns() - start
-        out.append(BenchRecord(
-            f"{name}-{s}", spec.n, spec.c or 0, solver,
-            "SAT" if satisfiable else "UNSAT", elapsed, **asdict(cnt),
-            empirical_exponent=empirical_exponent(cnt.total(), spec.n)))
-    return out
-
-
-def bench_circuits(count: int, n: int, c: int, *, seed: int = 0,
-                   fan_in: Optional[int] = None,
-                   force_restriction: bool = False) -> list[BenchRecord]:
-    """Threshold-circuit suite through the threshold solver, with weights of
-    absolute value at most 8; force_restriction draws the paper's
-    restriction, and otherwise the greedy set is eliminated."""
-    dist = "fixed_fanin" if fan_in is not None else "uniform_fanin"
-    return _bench(
-        count, seed, f"tc-{n}-{c}", "solve",
-        lambda circuit, s, cnt: solve(
-            circuit, seed=s, force_restriction=force_restriction,
-            counters=cnt).satisfiable,
-        GenSpec(kind="threshold_circuit", n=n, c=c, weight_bound=8,
-                distribution=dist, fan_in=fan_in))
-
-
-def bench_symmetric(count: int, n: int, c: int, *, seed: int = 0,
-                    force_restriction: bool = False) -> list[BenchRecord]:
-    """Symmetric-circuit suite through solve_symmetric, whose one route is
-    the elimination kernel the threshold solver uses, with weights of
-    absolute value at most 3."""
-    return _bench(
-        count, seed, f"sc-{n}-{c}", "solve_symmetric",
-        lambda circuit, s, cnt: solve_symmetric(
-            circuit, seed=s, force_restriction=force_restriction,
-            counters=cnt).satisfiable,
-        GenSpec(kind="symmetric_circuit", n=n, c=c, weight_bound=3))
-
-
-def bench_ilp(count: int, n: int, rows: int, *, arity: int = 2,
-              seed: int = 0) -> list[BenchRecord]:
-    """Constraint-system suite through the split-and-list solver, with weights
-    of absolute value at most 8."""
-    return _bench(
-        count, seed, f"ilp-{n}-{rows}", "solve_ilp",
-        lambda system, s, cnt: solve_ilp(system, counters=cnt)[0] is not None,
-        GenSpec(kind="ilp", n=n, rows=rows, arity=arity, weight_bound=8))
+        records.append(BenchRecord(
+            f"{name}-{s}", n, spec.c or 0, solver.__name__,
+            "SAT" if satisfiable else "UNSAT", elapsed, cnt))
+    return records
 
 
 def bench_speedup(count: int = 3, *, seed: int = 0, n: int = 24, c: int = 1,
@@ -117,9 +109,12 @@ def bench_speedup(count: int = 3, *, seed: int = 0, n: int = 24, c: int = 1,
     On these instances the full cube has 2^n points, so any empirical
     exponent below 1.0 is measured savings.
     """
-    return bench_circuits(count, n, c, seed=seed, fan_in=fan_in,
-                          force_restriction=force_restriction)
+    return bench_suite("circuit", count, n=n, c=c, seed=seed, fan_in=fan_in,
+                       force_restriction=force_restriction)
 
 
 def format_table(records: list[BenchRecord]) -> str:
-    return "\n".join([CSV_HEADER] + [r.to_csv() for r in records]) + "\n"
+    header = [f.name for f in fields(BenchRecord)[:-1]]
+    header += [f.name for f in fields(WorkCounters)]
+    header.append("empirical_exponent")
+    return "\n".join([",".join(header)] + [r.to_csv() for r in records]) + "\n"

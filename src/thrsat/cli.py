@@ -93,22 +93,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite == "circuit":
-        records = bench_mod.bench_circuits(
-            args.count, args.n, args.c, seed=args.seed, fan_in=args.fan_in,
-            force_restriction=args.force_restriction)
-    elif args.suite == "symmetric":
-        records = bench_mod.bench_symmetric(
-            args.count, args.n, args.c, seed=args.seed,
-            force_restriction=args.force_restriction)
-    elif args.suite == "ilp":
-        records = bench_mod.bench_ilp(args.count, args.n, args.rows,
-                                      arity=args.arity, seed=args.seed)
-    else:
-        kwargs = {} if args.fan_in is None else {"fan_in": args.fan_in}
-        records = bench_mod.bench_speedup(
-            args.count, seed=args.seed, n=args.n, c=args.c,
-            force_restriction=args.force_restriction, **kwargs)
+    records = bench_mod.bench_suite(
+        args.suite, args.count, n=args.n, c=args.c, rows=args.rows,
+        arity=args.arity, seed=args.seed, fan_in=args.fan_in,
+        force_restriction=args.force_restriction)
     sys.stdout.write(bench_mod.format_table(records))
     return 0
 
@@ -157,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.set_defaults(func=_cmd_gen)
 
     bench_p = subs.add_parser("bench", help="print a CSV counter table")
-    bench_p.add_argument("--suite", default="speedup",
-                         choices=("circuit", "symmetric", "ilp", "speedup"))
+    bench_p.add_argument("--suite", default="speedup", choices=bench_mod.SUITES)
     bench_p.add_argument("--count", type=int, default=3)
     bench_p.add_argument("--n", type=int, default=24)
     bench_p.add_argument("--c", type=int, default=1)

@@ -47,10 +47,13 @@ def count_bound(n: int, d: int) -> int:
 
 def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
             c0: int, cnt: WorkCounters, depth: int, depth_limit: int):
-    """Search the rows ia of A against the rows ib of B, both nonempty, on
-    the coordinates from c0 on.  a and b are A and B transposed, (d, rows),
-    so that a coordinate's entries are one row."""
+    """Search the rows ia of A against the rows ib of B on the coordinates
+    from c0 on.  a and b are A and B transposed, (d, rows), so that a
+    coordinate's entries are one row.  A node with an empty side holds no
+    pair."""
     cnt.recursion_nodes += 1
+    if not len(ia) or not len(ib):
+        return None
     if depth > depth_limit:
         raise AssertionError("domination search exceeded its depth guard")
     last = len(a) - 1
@@ -80,26 +83,17 @@ def _search(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
     a_up, a_down = xa > med, xa < med
     b_up, b_down = xb > med, xb < med
 
-    res = _child(a, b, ia[a_up], ib[b_up], c0, cnt, depth, depth_limit)
+    res = _search(a, b, ia[a_up], ib[b_up], c0, cnt, depth + 1, depth_limit)
     if res is None:
         a_eq = ~(a_up | a_down)
         b_eq = ~(b_up | b_down)
-        res = _child(a, b, np.concatenate((ia[a_eq], ia[a_up])),
-                     np.concatenate((ib[b_eq], ib[b_down])), c0 + 1, cnt,
-                     depth, depth_limit)
+        res = _search(a, b, np.concatenate((ia[a_eq], ia[a_up])),
+                      np.concatenate((ib[b_eq], ib[b_down])), c0 + 1, cnt,
+                      depth + 1, depth_limit)
     if res is None:
-        res = _child(a, b, ia[a_down], ib[b_down], c0, cnt, depth, depth_limit)
+        res = _search(a, b, ia[a_down], ib[b_down], c0, cnt, depth + 1,
+                      depth_limit)
     return res
-
-
-def _child(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-           c0: int, cnt: WorkCounters, depth: int, depth_limit: int):
-    """Search a child of the node at depth; a child with an empty side holds
-    no pair and is counted as a node without a call."""
-    if not len(ia) or not len(ib):
-        cnt.recursion_nodes += 1
-        return None
-    return _search(a, b, ia, ib, c0, cnt, depth + 1, depth_limit)
 
 
 def find_dominating_pair(a: np.ndarray, b: np.ndarray
@@ -116,13 +110,10 @@ def find_dominating_pair(a: np.ndarray, b: np.ndarray
             raise InputError("both sides must be (rows, d) int64 arrays")
     if a.shape[1] != b.shape[1]:
         raise InputError("both sides must have the same dimension")
-    cnt = WorkCounters()
-    if not len(a) or not len(b):
-        cnt.recursion_nodes += 1
-        return None, cnt
     d = a.shape[1]
-    if d < 1:
+    if d < 1 and len(a) and len(b):
         raise InputError("dimension must be at least 1 when both sides are nonempty")
+    cnt = WorkCounters()
     depth_limit = (len(a) + len(b)).bit_length() + d + 8
     res = _search(a.T, b.T, np.arange(len(a)), np.arange(len(b)), 0, cnt, 0,
                   depth_limit)

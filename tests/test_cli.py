@@ -148,6 +148,29 @@ def test_bench_speedup_suite_forwards_shape():
     assert lines[1].startswith("tc-20-1-0,20,1,")
 
 
+def test_bench_columns_follow_work_counters(monkeypatch):
+    # a new WorkCounters field is a new bench column, with no edit to bench
+    from dataclasses import astuple, dataclass, fields
+
+    from thrsat import bench
+    from thrsat.counters import WorkCounters
+
+    @dataclass
+    class Wider(WorkCounters):
+        table_entries: int = 0
+
+    monkeypatch.setattr(bench, "WorkCounters", Wider)
+    records = bench.bench_speedup(1)
+    header, *rows = bench.format_table(records).splitlines()
+    assert header.endswith(
+        "median_selections,table_entries,empirical_exponent")
+    width = len(fields(Wider))
+    for record, row in zip(records, rows, strict=True):
+        cells = row.split(",")[6:6 + width]
+        assert cells == [str(v) for v in astuple(record.counters)]
+        assert isinstance(record.counters, Wider)
+
+
 def test_malformed_file_exits_one(tmp_path):
     bad = tmp_path / "bad.tc2"
     bad.write_text("tc2 1 1\ngate oops\ntop 1\n")

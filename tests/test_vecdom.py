@@ -41,8 +41,10 @@ def test_count_bound_formula():
 
 
 def test_empty_sides():
-    assert find_dominating_pair(*make_instance([], [(1,)], 1))[0] is None
-    assert find_dominating_pair(*make_instance([(1,)], [], 1))[0] is None
+    for a_rows, b_rows in (([], [(1,)]), ([(1,)], [])):
+        pair, cnt = find_dominating_pair(*make_instance(a_rows, b_rows, 1))
+        assert pair is None
+        assert cnt.recursion_nodes == 1
 
 
 def test_one_dimension_tags():
