@@ -6,7 +6,10 @@ Every solve, threshold or symmetric, is one `eliminate` call.  It
 enumerates the variables outside a gate-independent set S, one in which no
 bottom gate has two inputs, in numpy blocks, and decides S in closed form:
 with the other variables fixed, every gate depends on at most one variable
-of S, so the top sum is a constant plus one term per variable of S.  By
+of S, so the top sum is a constant plus one term per variable of S.  A
+block fixes its high enumerated bits, so each gate is tested on its own
+small table, its sums over its inputs among the block's low bits, and the
+table is added into the block's rows along those inputs' axes.  By
 default S is a greedy independent set, chosen without randomness.  When
 the caller asks for the paper's random restriction, S is the free variables
 of one unbiased draw that lie in no exceptional gate (a gate with two or
@@ -46,6 +49,7 @@ MAX_BRANCH_BITS = 30
 # and eliminate's set-up, Python loops over every variable, can run
 MAX_VARS = 1 << 16
 _BLOCK_ELEMENT_BITS = 14
+_BLOCK_ENTRY_BITS = 14
 _KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
 
 
@@ -238,36 +242,39 @@ def gain_bounds(circuit: SymmetricCircuit) -> list[int]:
     return bound
 
 
-def _gate_test(preds: Sequence[Predicate]
+def _gate_test(forms: Sequence[tuple[PredKind, tuple[int, ...]]],
+               sizes: Sequence[int]
                ) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
-    """The gates grouped by the kind of their Predicate.int64_form, as an
-    order of gate indices, and test(sums): row k of the (len(preds), rows)
-    array sums under the predicate of gate order[k].  Each group takes one
-    vectorized comparison, with its parameters as (group size, 1) columns,
-    a membership list padded with the guard, which no sum reaches."""
-    runs: dict[PredKind, list[tuple[int, tuple[int, ...]]]] = {}
-    for j, pred in enumerate(preds):
-        kind, params = pred.int64_form()
-        runs.setdefault(kind, []).append((j, params))
+    """Gates given by their Predicate.int64_form, grouped by kind, as an
+    order of gate indices, and test(sums): each row of sums holds
+    sizes[order[0]] sums of gate order[0], then sizes[order[1]] of gate
+    order[1], and so on, and is tested entry by entry under the gates'
+    predicates.  Each group takes one vectorized comparison, with its
+    parameters repeated over its gates' entries, a membership list padded
+    with the guard, which no sum reaches."""
+    runs: dict[PredKind, list[int]] = {}
+    for j, (kind, _) in enumerate(forms):
+        runs.setdefault(kind, []).append(j)
     order: list[int] = []
     groups = []
+    start = 0
     for kind in sorted(runs, key=_KIND_RANK.__getitem__):
-        indices, params = zip(*runs[kind])
-        width = max(map(len, params))
-        table = np.array([row + (ACCUMULATION_GUARD,) * (width - len(row))
-                          for row in params],
-                         dtype=np.int64).reshape(len(params), width)
-        groups.append((len(order), len(order) + len(params), kind,
-                       [table[:, k:k + 1] for k in range(width)]))
+        indices = runs[kind]
+        width = max(len(forms[j][1]) for j in indices)
+        table = np.repeat(np.array(
+            [forms[j][1] + (ACCUMULATION_GUARD,) * (width - len(forms[j][1]))
+             for j in indices], dtype=np.int64).reshape(len(indices), width),
+            [sizes[j] for j in indices], axis=0)
+        groups.append((start, start + len(table), kind,
+                       [table[:, k] for k in range(width)]))
+        start += len(table)
         order += indices
-    if not groups:
-        return order, lambda sums: np.zeros(sums.shape, dtype=bool)
     if len(groups) == 1:
         _, _, kind, columns = groups[0]
         return order, lambda sums: holds_columns(kind, columns, sums)
     return order, lambda sums: np.concatenate(
-        [holds_columns(kind, columns, sums[a:b])
-         for a, b, kind, columns in groups])
+        [holds_columns(kind, columns, sums[:, a:b])
+         for a, b, kind, columns in groups], axis=1)
 
 
 def _steps_to(steps: Sequence[int], target: int) -> list[bool]:
@@ -299,6 +306,94 @@ def _shift_or(reach: np.ndarray, words: int, bits: np.ndarray) -> None:
     reach[:, words + 1:] |= carry
 
 
+@dataclass
+class _Tables:
+    """Gates laid end to end in the order of their `_gate_test`.  A gate's
+    table holds its sums over its a inputs among a block's low bits, 2^a
+    entries with the lowest-index input most significant; a gate with an
+    eliminated input k is followed by its flipped table, the same sums
+    plus k's weight.  sums holds the tables at zero high bits, high_w[c]
+    each entry's weight on high column c, and top_w each entry's gate's
+    top weight.  spans holds each gate as (start, stop, shape, k), k None
+    for a gate without an eliminated input and shape the one that lays its
+    table along its inputs' axes of a (2,) * low view of the block."""
+
+    test: Callable[[np.ndarray], np.ndarray]
+    sums: np.ndarray
+    high_w: np.ndarray
+    top_w: np.ndarray
+    spans: list[tuple[int, int, tuple[int, ...], Optional[int]]]
+
+    def add(self, sums: np.ndarray, top: np.ndarray,
+            sides: np.ndarray) -> None:
+        """Test every entry at these sums and take c0, the gate's top
+        weight where it fires and 0 elsewhere.  Add each gate's c0 along
+        its inputs' axes: into top, a (2,) * low view of the block, or,
+        with its flipped table's, into row k of sides, an (|S|, 2) + (2,) *
+        low view."""
+        c0 = self.test(sums[None])[0] * self.top_w
+        for start, stop, shape, k in self.spans:
+            if k is None:
+                top += c0[start:stop].reshape(shape)
+            else:
+                sides[k] += c0[start:stop].reshape((2,) + shape)
+
+
+def _gate_tables(circuit: SymmetricCircuit, s_row: dict[int, int],
+                 column: dict[int, int], high: int, low: int
+                 ) -> tuple[list[_Tables], list[_Tables]]:
+    """The bottom gates as _Tables over blocks whose first `high`
+    enumerated columns are fixed and whose last `low` ones vary: first
+    those that read no high bit, whose tables are the same in every block,
+    then the others.  One _Tables holds at most 2^_BLOCK_ENTRY_BITS
+    entries, or one gate's."""
+    # per part, chunks of [entries, gate, gate, ...], a gate being (int64
+    # form, table, shape, (high column, weight) pairs, top weight, k)
+    parts: tuple[list[list], list[list]] = ([], [])
+    for j, (gate, top_w) in enumerate(zip(circuit.bottom,
+                                          circuit.top_gate_weights)):
+        table, shape, high_pairs, k = [0], [1] * low, [], None
+        # columns ascend with the variable index
+        for i, w in sorted(gate.inputs):
+            if i in s_row:
+                if k is not None:
+                    raise InputError(f"gate {j} has two or more inputs in "
+                                     "the eliminated set")
+                k, flip = s_row[i], w
+            elif column[i] < high:
+                high_pairs.append((column[i], w))
+            else:
+                table = [s + x for s in table for x in (0, w)]
+                shape[column[i] - high] = 2
+        if k is not None:
+            table += [s + flip for s in table]
+        chunks = parts[bool(high_pairs)]
+        if not chunks or chunks[-1][0] + len(table) > 1 << _BLOCK_ENTRY_BITS:
+            chunks.append([0])
+        chunks[-1][0] += len(table)
+        chunks[-1].append((gate.pred.int64_form(), table, tuple(shape),
+                           high_pairs, top_w, k))
+    out: tuple[list[_Tables], list[_Tables]] = ([], [])
+    for varies, chunks in enumerate(parts):
+        for _, *gates in chunks:
+            order, test = _gate_test([g[0] for g in gates],
+                                     [len(g[1]) for g in gates])
+            gates = [gates[j] for j in order]
+            ends = list(itertools.accumulate(len(g[1]) for g in gates))
+            high_w = np.zeros((high, ends[-1]), dtype=np.int64)
+            for (_, table, _, high_pairs, _, _), end in zip(gates, ends):
+                for c, w in high_pairs:
+                    high_w[c, end - len(table):end] = w
+            out[varies].append(_Tables(
+                test,
+                np.array([s for g in gates for s in g[1]], dtype=np.int64),
+                high_w,
+                np.array([g[4] for g in gates for _ in g[1]], dtype=np.int64),
+                [(end - len(table), end, shape, k)
+                 for (_, table, shape, _, _, k), end in zip(gates, ends)]))
+    return out
+
+
 def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
               cnt: WorkCounters) -> Optional[tuple[int, ...]]:
     """First satisfying assignment of a circuit, found by enumerating the
@@ -308,17 +403,29 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     The other variables are enumerated lexicographically, lowest index most
     significant, in blocks of rows.  In each row every gate is a constant or
     a function of its one eliminated input, whatever its predicate, so the
-    top sum is a constant plus a gain g_i * x_i per eliminated variable.  A
-    `ge` top holds somewhere in the row iff the constant plus the positive
+    top sum is a constant plus a gain g_i * x_i per eliminated variable.
+    A block fixes its high enumerated bits, so a gate's sum there depends
+    only on its a inputs among the block's low bits: the gate is tested on
+    its own table of 2^a sums, not on every row, and a gate with an
+    eliminated input i also on the same table plus i's weight.  Its top
+    weight where it fires is added along its inputs' axes of the block's
+    (2,) * low view: into the top sums, or, both tables at once, into
+    sides[i], the terms that i's gates and direct wire add to the top sum
+    with x_i = 0 and with x_i = 1; g_i is their difference.  A gate that
+    reads no high bit is tested and added once for all blocks.  The top
+    sums and sides, (2|S| + 1) * rows entries, stay within
+    2^_BLOCK_ENTRY_BITS.
+    A `ge` top holds somewhere in the row iff the constant plus the positive
     gains reaches its threshold, and then x_i = [g_i > 0] satisfies it.
     Any other top is tested on every sum the row reaches.  The offsets
     above the row's least sum lie in [0, W] for the set's summed
     gain_bounds W, and each row keeps the reachable ones as W // 64 + 1
-    packed uint64 words; an eliminated variable whose gain_bounds entry is
-    below 64 moves them by one shift-or on the whole block, a wider one by
-    one shift-or per whole-word shift its rows take.  The top predicate,
+    packed uint64 words; an eliminated variable moves them by one shift-or
+    on the whole block when all its rows shift by the same whole words, and
+    by one shift-or per whole-word shift otherwise.  The top predicate,
     tested on the (rows, W + 1) sums, is packed the same way and and-ed in;
-    the witness takes the lowest reachable offset it accepts.
+    the witness takes the lowest reachable offset it accepts.  Then rows *
+    (W + 1) stays below 2^_BLOCK_ELEMENT_BITS too.
     Returns the total assignment of the first satisfiable row, or None;
     cnt.assignments grows by the rows examined.  A set in which some gate
     has two inputs is refused, and so is one whose W, under a top other
@@ -344,72 +451,61 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     enumerated = [v for v in range(n) if v not in s_row]
     column = {v: k for k, v in enumerate(enumerated)}
     bits = len(enumerated)
-    m = len(circuit.bottom)
-    # the top sum does not depend on the order of the gates
-    order, fires = _gate_test([g.pred for g in circuit.bottom])
-    top_w = np.array([circuit.top_gate_weights[j] for j in order],
-                     dtype=np.int64)
-    # weights: gate j's on the enumerated variables in row j, the direct
-    # wires' in row m; flip[j], gain_w[k, j]: gate j's weight on eliminated
-    # variable k and the top weight that carries its flip into k's gain
-    weights = np.zeros((m + 1, bits), dtype=np.int64)
-    flip = np.zeros((m, 1), dtype=np.int64)
-    gain_w = np.zeros((len(s_list), m), dtype=np.int64)
-    direct = np.zeros((len(s_list), 1), dtype=np.int64)
-    for j, gate in enumerate(circuit.bottom[g] for g in order):
-        if sum(i in s_row for i, _ in gate.inputs) > 1:
-            raise InputError(f"gate {order[j]} has two or more inputs in the "
-                             "eliminated set")
-        for i, w in gate.inputs:
-            if i in s_row:
-                flip[j] = w
-                gain_w[s_row[i], j] = top_w[j]
-            else:
-                weights[j, column[i]] = w
+    low = max(0, _BLOCK_ENTRY_BITS - (2 * len(s_list)).bit_length())
+    if not top_ge:
+        low = min(low, _BLOCK_ELEMENT_BITS - (spread + 1).bit_length())
+    low = min(bits, low)
+    high = bits - low
+    width = 1 << low
+    fixed, varying = _gate_tables(circuit, s_row, column, high, low)
+    # what every block shares: the gates that read no high bit, and the
+    # direct wires on the low and the eliminated variables.  sides[k, x]
+    # holds the top-sum terms of eliminated variable k's gates and direct
+    # wire with x_k = x, and top those of the rest
+    top = np.zeros(width, dtype=np.int64)
+    top_view = top.reshape((2,) * low)
+    sides = np.zeros((len(s_list), 2, width), dtype=np.int64)
+    sides_view = sides.reshape((len(s_list), 2) + (2,) * low)
+    direct_high = np.zeros(high, dtype=np.int64)
     for i, w in circuit.direct_wires:
         if i in s_row:
-            direct[s_row[i]] = w
+            sides[s_row[i], 1] += w
+        elif column[i] < high:
+            direct_high[column[i]] = w
         else:
-            weights[m, column[i]] = w
-
-    # a block's sums: a table over the low `low` bits of the row index, with
-    # max(m + 1, W + 1) * 2^low < 2^_BLOCK_ELEMENT_BITS entries, plus a
-    # constant
-    low = min(bits, max(0, _BLOCK_ELEMENT_BITS
-                        - max(m + 1, spread + 1).bit_length()))
-    width = 1 << low
-    # filled in place, the columns doubling with each bit from the lowest
-    low_sums = np.empty((m + 1, width), dtype=np.int64)
-    low_sums[:, 0] = 0
-    for k in range(low):
-        np.add(low_sums[:, :1 << k], weights[:, bits - 1 - k:bits - k],
-               out=low_sums[:, 1 << k:2 << k])
-    high_shifts = np.arange(bits - low - 1, -1, -1, dtype=np.int64)
+            top_view[(slice(None),) * (column[i] - high) + (1,)] += w
+    for t in fixed:
+        t.add(t.sums, top_view, sides_view)
+    high_shifts = np.arange(high - 1, -1, -1, dtype=np.int64)
     offsets = np.arange(spread + 1, dtype=np.int64)
     # a row's reachable offsets, bit b of word k standing for offset 64k + b
     words = spread // 64 + 1
-    for block in range(1 << (bits - low)):
-        high = weights[:, :bits - low] @ ((block >> high_shifts) & 1)
-        sums = low_sums + high[:, None]
-        fired = fires(sums[:m])
-        flipped = fires(sums[:m] + flip)
-        gain = gain_w @ (flipped.view(np.int8) - fired.view(np.int8)) + direct
-        top = sums[m] + top_w @ fired
+    block_top, block_sides = top, sides
+    for block in range(1 << high):
+        if high:
+            on = ((block >> high_shifts) & 1).astype(bool)
+            block_top = top + int(direct_high[on].sum())
+            block_sides = sides.copy()
+            for t in varying:
+                t.add(t.sums + t.high_w[on].sum(axis=0),
+                      block_top.reshape(top_view.shape),
+                      block_sides.reshape(sides_view.shape))
         if top_ge:
             sat = holds_columns(top_kind, top_columns,
-                                top + np.maximum(gain, 0).sum(axis=0))
+                                block_top + block_sides.max(axis=1).sum(axis=0))
         else:
+            gain = block_sides[:, 1] - block_sides[:, 0]
             steps = np.abs(gain)
-            least = top + np.minimum(gain, 0).sum(axis=0)
+            least = block_top + block_sides.min(axis=1).sum(axis=0)
             reach = np.zeros((width, words), dtype=np.uint64)
             reach[:, 0] = 1
-            for step, v in zip(steps, s_list):
+            for step in steps:
                 shift = (step & 63).astype(np.uint64)[:, None]
-                # only a gain that can reach 64 shifts rows by whole words
-                if bound[v] < 64:
-                    _shift_or(reach, 0, shift)
-                    continue
                 word_shift = step >> 6
+                first = int(word_shift[0])
+                if (word_shift == first).all():
+                    _shift_or(reach, first, shift)
+                    continue
                 for q in np.unique(word_shift):
                     rows = np.flatnonzero(word_shift == q)
                     part = reach[rows]
@@ -430,7 +526,7 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             for k, v in enumerate(enumerated):
                 values[v] = (row >> (bits - 1 - k)) & 1
             if top_ge:
-                chosen = [bool(g > 0) for g in gain[:, hit]]
+                chosen = list(block_sides[:, 1, hit] > block_sides[:, 0, hit])
             else:
                 # the lowest reachable offset the top accepts: the lowest
                 # set bit of the first nonzero word

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -264,17 +265,36 @@ def _mixed_tops(sums):
             (Predicate.members((lo - 1, hi + 1)), False)]
 
 
-@pytest.mark.parametrize("source", ["greedy", "draw", "random"])
-def test_eliminate_matches_product_oracle(source):
+@pytest.mark.parametrize("source", ["greedy", "draw", "random", "blocks"])
+def test_eliminate_matches_product_oracle(source, monkeypatch):
     """eliminate against plain enumeration over evaluate.  Threshold bases
     take every `ge` top threshold from one below the smallest top sum to one
     past the largest; mixed-predicate bases take a SAT and an UNSAT top of
     every kind (ge, eq, mod, set).  All have direct wires and top weights of
     both signs.  A witness must lie in the first row, in enumeration order,
     that holds one, and the rows counted must end there, or cover every row
-    when the circuit is UNSAT.  Every third circuit has 3n wires, so that
-    its rows span several blocks of the kernel."""
+    when the circuit is UNSAT.  Every third circuit has 3n wires.  "blocks"
+    eliminates the greedy set with the kernel's block bound lowered to 2^4
+    entries, so that (2|S| + 1) * rows <= 16 and a _Tables holds at most
+    16 entries: an UNSAT `ge` top over more than 16 rows must then be
+    tested block by block, at least twice, and examine more rows than any
+    one block holds."""
     rng = Random(source)
+    blocks = None
+    if source == "blocks":
+        monkeypatch.setattr(sparse_sat, "_BLOCK_ENTRY_BITS", 4)
+        blocks = []
+        real = sparse_sat.holds_columns
+
+        def recording(kind, columns, values):
+            # a `ge` top is tested on one (rows,) array per block; the
+            # gates' tables are tested as (1, entries) arrays
+            if values.ndim == 1:
+                blocks.append(len(values))
+            return real(kind, columns, values)
+
+        monkeypatch.setattr(sparse_sat, "holds_columns", recording)
+    split = 0
     for seed in range(27):
         n = 6 + seed % 9
         wires = 3 * n if seed % 3 == 2 else n + seed % n
@@ -286,7 +306,7 @@ def test_eliminate_matches_product_oracle(source):
             -w if k % 3 == seed % 3 else w
             for k, w in enumerate(mixed.top_gate_weights)))
         for base in (threshold, mixed):
-            if source == "greedy":
+            if source in ("greedy", "blocks"):
                 chosen = set(greedy_independent_set(base))
             elif source == "draw":
                 free = draw_restriction(base, Fraction(1, 2), Random(seed)).free
@@ -299,13 +319,20 @@ def test_eliminate_matches_product_oracle(source):
                         for t in range(min(sums) - 1, max(sums) + 2)]
             else:
                 tops = _mixed_tops(sums)
-            _check_first_rows(base, chosen, sums, tops)
+            split += _check_first_rows(base, chosen, sums, tops, blocks)
+    if source == "blocks":
+        assert split >= 27
 
 
-def _check_first_rows(base, chosen, sums, tops):
+def _check_first_rows(base, chosen, sums, tops, blocks=None):
+    """Check eliminate on base under each top against the rows' top sums;
+    with blocks, a list the `ge` top tests are recorded in, also check that
+    an UNSAT `ge` top over more than 16 rows ran in several blocks, and
+    return how many did."""
     n = base.n_vars
     rows = 1 << (n - len(chosen))
     enumerated = [v for v in range(n) if v not in chosen]
+    split = 0
 
     def row_of(values):
         return sum(values[v] << (len(enumerated) - 1 - k)
@@ -318,6 +345,8 @@ def _check_first_rows(base, chosen, sums, tops):
     for top, expected in tops:
         circuit = replace(base, top_pred=top)
         cnt = WorkCounters()
+        if blocks is not None:
+            blocks.clear()
         found = eliminate(circuit, chosen, cnt)
         # a mixed top's verdict follows from the enumerated sums
         sat = _product_oracle(circuit) if expected is None else expected
@@ -330,6 +359,10 @@ def _check_first_rows(base, chosen, sums, tops):
             assert cnt.assignments == first + 1
         else:
             assert cnt.assignments == rows
+            if blocks and top.kind is PredKind.GE and rows > 16:
+                assert len(blocks) >= 2 and cnt.assignments > max(blocks)
+                split += 1
+    return split
 
 
 def test_eliminate_trims_wide_tops():
@@ -711,6 +744,26 @@ def test_solve_reports_params_only_when_they_choose_p():
             assert derived.params == params
             assert derived.restriction.free == draw_restriction(
                 circuit, params.p, Random(seed)).free
+
+
+def test_many_one_input_gates_stay_small():
+    """8,192 one-input `ge` gates under a `ge` top: the greedy set holds
+    every variable, so one row decides the circuit.  A dense |S| x m gain
+    matrix would alone take 512 MiB; the gates' one-entry tables keep the
+    solve's traced peak below 64 MB."""
+    n = 8192
+    gates = tuple(SymmetricGate(((i, 1),), Predicate.ge(1)) for i in range(n))
+    circuit = SymmetricCircuit(n, gates, (1,) * n, (), Predicate.ge(n + 1))
+    cnt = WorkCounters()
+    tracemalloc.start()
+    try:
+        outcome = solve_symmetric(circuit, counters=cnt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not outcome.satisfiable and len(outcome.eliminated) == n
+    assert cnt.assignments == 1
+    assert peak < 64 * 10 ** 6
 
 
 def test_solvers_refuse_circuits_past_the_variable_guard():
