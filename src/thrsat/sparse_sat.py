@@ -312,17 +312,21 @@ class _Tables:
     table holds its sums over its a inputs among a block's low bits, 2^a
     entries with the lowest-index input most significant; a gate with an
     eliminated input k is followed by its flipped table, the same sums
-    plus k's weight.  sums holds the tables at zero high bits, high_w[c]
-    each entry's weight on high column c, and top_w each entry's gate's
-    top weight.  spans holds each gate as (start, stop, shape, k), k None
-    for a gate without an eliminated input and shape the one that lays its
-    table along its inputs' axes of a (2,) * low view of the block."""
+    plus k's weight.  sums holds the tables at zero high bits, high_w[c, g]
+    the g-th gate's weight on high column c, owner each entry's gate g, and
+    top_w each entry's gate's top weight.  spans holds each run of adjacent
+    gates that share their inputs' axes and k as (start, stop, shape, k,
+    many), k None for gates without an eliminated input, many whether the
+    run has more than one gate, and shape the one that lays the run's
+    tables, one per gate along the first axis when many, along their
+    inputs' axes of a (2,) * low view of the block."""
 
     test: Callable[[np.ndarray], np.ndarray]
     sums: np.ndarray
     high_w: np.ndarray
+    owner: np.ndarray
     top_w: np.ndarray
-    spans: list[tuple[int, int, tuple[int, ...], Optional[int]]]
+    spans: list[tuple[int, int, tuple[int, ...], Optional[int], bool]]
 
     def add(self, sums: np.ndarray, top: np.ndarray,
             sides: np.ndarray) -> None:
@@ -332,66 +336,99 @@ class _Tables:
         with its flipped table's, into row k of sides, an (|S|, 2) + (2,) *
         low view."""
         c0 = self.test(sums[None])[0] * self.top_w
-        for start, stop, shape, k in self.spans:
+        for start, stop, shape, k, many in self.spans:
+            table = c0[start:stop].reshape(shape)
+            if many:
+                table = table.sum(axis=0)
             if k is None:
-                top += c0[start:stop].reshape(shape)
+                top += table
             else:
-                sides[k] += c0[start:stop].reshape((2,) + shape)
+                sides[k] += table
 
 
 def _gate_tables(circuit: SymmetricCircuit, s_row: dict[int, int],
-                 column: dict[int, int], high: int, low: int
-                 ) -> tuple[list[_Tables], list[_Tables]]:
-    """The bottom gates as _Tables over blocks whose first `high`
-    enumerated columns are fixed and whose last `low` ones vary: first
-    those that read no high bit, whose tables are the same in every block,
-    then the others.  One _Tables holds at most 2^_BLOCK_ENTRY_BITS
-    entries, or one gate's."""
-    # per part, chunks of [entries, gate, gate, ...], a gate being (int64
-    # form, table, shape, (high column, weight) pairs, top weight, k)
-    parts: tuple[list[list], list[list]] = ([], [])
-    for j, (gate, top_w) in enumerate(zip(circuit.bottom,
-                                          circuit.top_gate_weights)):
-        table, shape, high_pairs, k = [0], [1] * low, [], None
-        # columns ascend with the variable index
+                 column: dict[int, int], bits: int, low: int
+                 ) -> tuple[int, list[_Tables], list[_Tables]]:
+    """The bottom gates as _Tables over blocks whose last `low` of the
+    `bits` enumerated columns vary and whose others, the high ones, are
+    fixed.  low is first lowered until the gates' tables, 2^a entries for a
+    gate with a inputs among the low columns and twice that for one with an
+    eliminated input, hold at most 2^_BLOCK_ENTRY_BITS entries together, or
+    to 0.  Returns that low, then the gates that read no high bit, whose
+    tables are the same in every block, and the others, each as one
+    _Tables or none."""
+    # per gate, its eliminated input as (row of S, weight) or None and its
+    # enumerated inputs as (column, weight); columns ascend with the
+    # variable index
+    gates = []
+    for j, gate in enumerate(circuit.bottom):
+        flip, inputs = None, []
         for i, w in sorted(gate.inputs):
             if i in s_row:
-                if k is not None:
+                if flip is not None:
                     raise InputError(f"gate {j} has two or more inputs in "
                                      "the eliminated set")
-                k, flip = s_row[i], w
-            elif column[i] < high:
-                high_pairs.append((column[i], w))
+                flip = (s_row[i], w)
+            else:
+                inputs.append((column[i], w))
+        gates.append((flip, inputs))
+
+    def entries(low: int) -> int:
+        return sum((1 + (flip is not None))
+                   << sum(c >= bits - low for c, _ in inputs)
+                   for flip, inputs in gates)
+
+    while low and entries(low) > 1 << _BLOCK_ENTRY_BITS:
+        low -= 1
+    high = bits - low
+    # per part, the gates as (int64 form, table, shape, (high column,
+    # weight) pairs, top weight, k)
+    parts: tuple[list, list] = ([], [])
+    for gate, (flip, inputs), top_w in zip(circuit.bottom, gates,
+                                           circuit.top_gate_weights):
+        table, shape, high_pairs, k = [0], [1] * low, [], None
+        for c, w in inputs:
+            if c < high:
+                high_pairs.append((c, w))
             else:
                 table = [s + x for s in table for x in (0, w)]
-                shape[column[i] - high] = 2
-        if k is not None:
-            table += [s + flip for s in table]
-        chunks = parts[bool(high_pairs)]
-        if not chunks or chunks[-1][0] + len(table) > 1 << _BLOCK_ENTRY_BITS:
-            chunks.append([0])
-        chunks[-1][0] += len(table)
-        chunks[-1].append((gate.pred.int64_form(), table, tuple(shape),
-                           high_pairs, top_w, k))
+                shape[c - high] = 2
+        if flip is not None:
+            k, w = flip
+            table += [s + w for s in table]
+        parts[bool(high_pairs)].append((gate.pred.int64_form(), table,
+                                        tuple(shape), high_pairs, top_w, k))
     out: tuple[list[_Tables], list[_Tables]] = ([], [])
-    for varies, chunks in enumerate(parts):
-        for _, *gates in chunks:
-            order, test = _gate_test([g[0] for g in gates],
-                                     [len(g[1]) for g in gates])
-            gates = [gates[j] for j in order]
-            ends = list(itertools.accumulate(len(g[1]) for g in gates))
-            high_w = np.zeros((high, ends[-1]), dtype=np.int64)
-            for (_, table, _, high_pairs, _, _), end in zip(gates, ends):
-                for c, w in high_pairs:
-                    high_w[c, end - len(table):end] = w
-            out[varies].append(_Tables(
-                test,
-                np.array([s for g in gates for s in g[1]], dtype=np.int64),
-                high_w,
-                np.array([g[4] for g in gates for _ in g[1]], dtype=np.int64),
-                [(end - len(table), end, shape, k)
-                 for (_, table, shape, _, _, k), end in zip(gates, ends)]))
-    return out
+    for varies, part in enumerate(parts):
+        if not part:
+            continue
+        # gates with the same axes and k end up adjacent within a kind
+        part.sort(key=lambda g: (g[2], g[5] is not None, g[5] or 0))
+        order, test = _gate_test([g[0] for g in part],
+                                 [len(g[1]) for g in part])
+        part = [part[j] for j in order]
+        high_w = np.zeros((high, len(part)), dtype=np.int64)
+        for g, (_, _, _, high_pairs, _, _) in enumerate(part):
+            for c, w in high_pairs:
+                high_w[c, g] = w
+        spans: list[list] = []
+        start = 0
+        for _, table, shape, _, _, k in part:
+            if spans and spans[-1][2:4] == [shape, k]:
+                spans[-1][1] += len(table)
+                spans[-1][4] = True
+            else:
+                spans.append([start, start + len(table), shape, k, False])
+            start += len(table)
+        out[varies].append(_Tables(
+            test,
+            np.array([s for g in part for s in g[1]], dtype=np.int64),
+            high_w,
+            np.repeat(np.arange(len(part)), [len(g[1]) for g in part]),
+            np.array([g[4] for g in part for _ in g[1]], dtype=np.int64),
+            [(a, b, (-1,) * many + (2,) * (k is not None) + shape, k, many)
+             for a, b, shape, k, many in spans]))
+    return low, *out
 
 
 def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
@@ -413,8 +450,8 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     sides[i], the terms that i's gates and direct wire add to the top sum
     with x_i = 0 and with x_i = 1; g_i is their difference.  A gate that
     reads no high bit is tested and added once for all blocks.  The top
-    sums and sides, (2|S| + 1) * rows entries, stay within
-    2^_BLOCK_ENTRY_BITS.
+    sums and sides, (2|S| + 1) * rows entries, and the gates' tables
+    together stay within 2^_BLOCK_ENTRY_BITS, unless a block is one row.
     A `ge` top holds somewhere in the row iff the constant plus the positive
     gains reaches its threshold, and then x_i = [g_i > 0] satisfies it.
     Any other top is tested on every sum the row reaches.  The offsets
@@ -425,7 +462,8 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     by one shift-or per whole-word shift otherwise.  The top predicate,
     tested on the (rows, W + 1) sums, is packed the same way and and-ed in;
     the witness takes the lowest reachable offset it accepts.  Then rows *
-    (W + 1) stays below 2^_BLOCK_ELEMENT_BITS too.
+    (W + 1) stays below 2^_BLOCK_ELEMENT_BITS too, unless a block is one
+    row.
     Returns the total assignment of the first satisfiable row, or None;
     cnt.assignments grows by the rows examined.  A set in which some gate
     has two inputs is refused, and so is one whose W, under a top other
@@ -451,13 +489,13 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     enumerated = [v for v in range(n) if v not in s_row]
     column = {v: k for k, v in enumerate(enumerated)}
     bits = len(enumerated)
-    low = max(0, _BLOCK_ENTRY_BITS - (2 * len(s_list)).bit_length())
+    low = min(bits, _BLOCK_ENTRY_BITS - (2 * len(s_list)).bit_length())
     if not top_ge:
         low = min(low, _BLOCK_ELEMENT_BITS - (spread + 1).bit_length())
-    low = min(bits, low)
+    low, fixed, varying = _gate_tables(circuit, s_row, column, bits,
+                                       max(0, low))
     high = bits - low
     width = 1 << low
-    fixed, varying = _gate_tables(circuit, s_row, column, high, low)
     # what every block shares: the gates that read no high bit, and the
     # direct wires on the low and the eliminated variables.  sides[k, x]
     # holds the top-sum terms of eliminated variable k's gates and direct
@@ -487,7 +525,7 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             block_top = top + int(direct_high[on].sum())
             block_sides = sides.copy()
             for t in varying:
-                t.add(t.sums + t.high_w[on].sum(axis=0),
+                t.add(t.sums + t.high_w[on].sum(axis=0)[t.owner],
                       block_top.reshape(top_view.shape),
                       block_sides.reshape(sides_view.shape))
         if top_ge:

@@ -275,10 +275,10 @@ def test_eliminate_matches_product_oracle(source, monkeypatch):
     that holds one, and the rows counted must end there, or cover every row
     when the circuit is UNSAT.  Every third circuit has 3n wires.  "blocks"
     eliminates the greedy set with the kernel's block bound lowered to 2^4
-    entries, so that (2|S| + 1) * rows <= 16 and a _Tables holds at most
-    16 entries: an UNSAT `ge` top over more than 16 rows must then be
-    tested block by block, at least twice, and examine more rows than any
-    one block holds."""
+    entries, so that (2|S| + 1) * rows <= 16 and the gates' tables hold at
+    most 16 entries together, or a block is one row: an UNSAT `ge` top
+    over more than 16 rows must then be tested block by block, at least
+    twice, and examine more rows than any one block holds."""
     rng = Random(source)
     blocks = None
     if source == "blocks":
@@ -454,6 +454,18 @@ def test_eliminate_blocks_stay_under_the_element_guard(monkeypatch):
             assert cnt.assignments == 1 << 9
         assert (8, 1501) in shapes
         assert max(rows * cols for rows, cols in shapes) < 1 << 14
+    # W = 2^14 - 1, the widest set the guard keeps: its blocks are one row
+    gate = (ThresholdGate(((0, 1),), 1),)
+    for top in (Predicate.eq(16383), Predicate.eq(5)):
+        circuit = SymmetricCircuit(1, gate, (16383,), (), top)
+        ref = brute_circuit_sat(circuit)
+        shapes.clear()
+        found = eliminate(circuit, (0,), WorkCounters())
+        assert (found is not None) == (ref is not None)
+        assert (1, 1 << 14) in shapes
+        outcome = solve_symmetric(circuit)
+        assert outcome.eliminated == (0,)
+        assert outcome.satisfiable == (ref is not None)
 
 
 def _boundary_circuit(parts, switches=3):
@@ -764,6 +776,30 @@ def test_many_one_input_gates_stay_small():
     assert not outcome.satisfiable and len(outcome.eliminated) == n
     assert cnt.assignments == 1
     assert peak < 64 * 10 ** 6
+
+
+def test_many_wide_gates_stay_small():
+    """128 gates that each read all 14 variables under an UNSAT `ge` top:
+    the greedy set holds one variable, and blocks shrink until the gates'
+    tables hold at most 2^14 entries together.  Blocks sized from |S| alone
+    would give every gate an 8,192-entry table at once, about 40 MB traced;
+    the solve stays below 8 MB."""
+    n, m = 14, 128
+    rng = Random(14)
+    gates = tuple(SymmetricGate(tuple((i, rng.choice((1, 2, 3)))
+                                      for i in range(n)), Predicate.ge(n))
+                  for _ in range(m))
+    circuit = SymmetricCircuit(n, gates, (1,) * m, (), Predicate.ge(m + 1))
+    cnt = WorkCounters()
+    tracemalloc.start()
+    try:
+        outcome = solve_symmetric(circuit, counters=cnt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not outcome.satisfiable and len(outcome.eliminated) == 1
+    assert cnt.assignments == 1 << (n - 1)
+    assert peak < 8 * 10 ** 6
 
 
 def test_solvers_refuse_circuits_past_the_variable_guard():
