@@ -7,17 +7,19 @@ enumerates the variables outside a gate-independent set S, one in which no
 bottom gate has two inputs, in numpy blocks, and decides S in closed form:
 with the other variables fixed, every gate depends on at most one variable
 of S, so the top sum is a constant plus one term per variable of S.  A
-block fixes its high enumerated bits, so each gate is tested on its own
-small table, its sums over its inputs among the block's low bits, and the
-table is added into the block's rows along those inputs' axes.  By
-default S is a greedy independent set, chosen without randomness.  When
-the caller asks for the paper's random restriction, S is the free variables
-of one unbiased draw that lie in no exceptional gate (a gate with two or
-more free inputs); an empty S makes the kernel a cube scan.  The driver
-checks the free probability p, seeds the draw and calls the kernel; the
-two entry points differ only in their default p.  A circuit with no
-variables needs no special case: its cube is one empty row, which the
-kernel decides like any other.
+direct wire x_i of weight w enters as the one-input gate x_i >= 1 of top
+weight w, a gate like any other.  A block fixes its high enumerated bits,
+so each gate is tested on its own small table, its sums over its inputs
+among the block's low bits, and the table is added into the block's rows
+along those inputs' axes; the tables, direct wires' included, count
+toward one bound on a block's size.  By default S is a greedy independent
+set, chosen without randomness.  When the caller asks for the paper's
+random restriction, S is the free variables of one unbiased draw that lie
+in no exceptional gate (a gate with two or more free inputs); an empty S
+makes the kernel a cube scan.  The driver checks the free probability p,
+seeds the draw and calls the kernel; the two entry points differ only in
+their default p.  A circuit with no variables needs no special case: its
+cube is one empty row, which the kernel decides like any other.
 
 `ilp_for_guess` keeps the paper's reduction from a guess of which gates
 fire to a linear system for the split-and-list search.  Every witness is
@@ -50,7 +52,7 @@ MAX_BRANCH_BITS = 30
 MAX_VARS = 1 << 16
 _BLOCK_ELEMENT_BITS = 14
 _BLOCK_ENTRY_BITS = 14
-_KIND_RANK = {kind: rank for rank, kind in enumerate(PredKind)}
+_WIRE_GATE = Predicate.ge(1)
 
 
 @dataclass(frozen=True)
@@ -229,50 +231,52 @@ class SolveOutcome:
     eliminated: tuple[int, ...] = ()
 
 
+def _top_terms(circuit: SymmetricCircuit
+               ) -> list[tuple[Predicate, tuple[tuple[int, int], ...], int]]:
+    """The top gate's terms as (predicate, inputs, top weight): the bottom
+    gates in order, then each direct wire x_i of weight w as the one-input
+    gate x_i >= 1 of top weight w, as in the paper's depth-two model."""
+    return ([(gate.pred, gate.inputs, top_w) for gate, top_w
+             in zip(circuit.bottom, circuit.top_gate_weights)]
+            + [(_WIRE_GATE, ((i, 1),), w) for i, w in circuit.direct_wires])
+
+
 def gain_bounds(circuit: SymmetricCircuit) -> list[int]:
-    """Per variable, its absolute direct weight plus the absolute top weight
-    of every gate that reads it: with the other variables fixed, flipping it
-    moves the top sum by at most this much."""
+    """Per variable, the absolute top weight of every top term that reads
+    it, a direct wire being a one-input gate: with the other variables
+    fixed, flipping it moves the top sum by at most this much."""
     bound = [0] * circuit.n_vars
-    for i, w in circuit.direct_wires:
-        bound[i] += abs(w)
-    for gate, top_w in zip(circuit.bottom, circuit.top_gate_weights):
-        for i, _ in gate.inputs:
+    for _, inputs, top_w in _top_terms(circuit):
+        for i, _ in inputs:
             bound[i] += abs(top_w)
     return bound
 
 
 def _gate_test(forms: Sequence[tuple[PredKind, tuple[int, ...]]],
-               sizes: Sequence[int]
-               ) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
-    """Gates given by their Predicate.int64_form, grouped by kind, as an
-    order of gate indices, and test(sums): each row of sums holds
-    sizes[order[0]] sums of gate order[0], then sizes[order[1]] of gate
-    order[1], and so on, and is tested entry by entry under the gates'
-    predicates.  Each group takes one vectorized comparison, with its
+               sizes: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """test(sums) for gates given by their Predicate.int64_form, sorted by
+    kind: each row of sums holds sizes[0] sums of gate 0, then sizes[1] of
+    gate 1, and so on, and is tested entry by entry under the gates'
+    predicates.  Each kind takes one vectorized comparison, with its
     parameters repeated over its gates' entries, a membership list padded
     with the guard, which no sum reaches."""
-    runs: dict[PredKind, list[int]] = {}
-    for j, (kind, _) in enumerate(forms):
-        runs.setdefault(kind, []).append(j)
-    order: list[int] = []
     groups = []
     start = 0
-    for kind in sorted(runs, key=_KIND_RANK.__getitem__):
-        indices = runs[kind]
-        width = max(len(forms[j][1]) for j in indices)
+    for kind, run in itertools.groupby(zip(forms, sizes),
+                                       key=lambda gate: gate[0][0]):
+        run = list(run)
+        width = max(len(params) for (_, params), _ in run)
         table = np.repeat(np.array(
-            [forms[j][1] + (ACCUMULATION_GUARD,) * (width - len(forms[j][1]))
-             for j in indices], dtype=np.int64).reshape(len(indices), width),
-            [sizes[j] for j in indices], axis=0)
+            [params + (ACCUMULATION_GUARD,) * (width - len(params))
+             for (_, params), _ in run], dtype=np.int64).reshape(len(run), width),
+            [size for _, size in run], axis=0)
         groups.append((start, start + len(table), kind,
                        [table[:, k] for k in range(width)]))
         start += len(table)
-        order += indices
     if len(groups) == 1:
         _, _, kind, columns = groups[0]
-        return order, lambda sums: holds_columns(kind, columns, sums)
-    return order, lambda sums: np.concatenate(
+        return lambda sums: holds_columns(kind, columns, sums)
+    return lambda sums: np.concatenate(
         [holds_columns(kind, columns, sums[:, a:b])
          for a, b, kind, columns in groups], axis=1)
 
@@ -308,18 +312,19 @@ def _shift_or(reach: np.ndarray, words: int, bits: np.ndarray) -> None:
 
 @dataclass
 class _Tables:
-    """Gates laid end to end in the order of their `_gate_test`.  A gate's
-    table holds its sums over its a inputs among a block's low bits, 2^a
-    entries with the lowest-index input most significant; a gate with an
-    eliminated input k is followed by its flipped table, the same sums
-    plus k's weight.  sums holds the tables at zero high bits, high_w[c, g]
-    the g-th gate's weight on high column c, owner each entry's gate g, and
-    top_w each entry's gate's top weight.  spans holds each run of adjacent
-    gates that share their inputs' axes and k as (start, stop, shape, k,
-    many), k None for gates without an eliminated input, many whether the
-    run has more than one gate, and shape the one that lays the run's
-    tables, one per gate along the first axis when many, along their
-    inputs' axes of a (2,) * low view of the block."""
+    """Gates, direct wires among them, laid end to end for one
+    `_gate_test`, sorted by kind, then by their inputs' axes and eliminated
+    input.  A gate's table holds its sums over its a inputs among a block's
+    low bits, 2^a entries with the lowest-index input most significant; a
+    gate with an eliminated input k is followed by its flipped table, the
+    same sums plus k's weight.  sums holds the tables at zero high bits,
+    high_w[c, g] the g-th gate's weight on high column c, owner each
+    entry's gate g, and top_w each entry's gate's top weight.  spans holds
+    each run of adjacent gates that share their inputs' axes and k as
+    (start, stop, shape, k, many), k None for gates without an eliminated
+    input, many whether the run has more than one gate, and shape the one
+    that lays the run's tables, one per gate along the first axis when
+    many, along their inputs' axes of a (2,) * low view of the block."""
 
     test: Callable[[np.ndarray], np.ndarray]
     sums: np.ndarray
@@ -348,30 +353,31 @@ class _Tables:
 
 def _gate_tables(circuit: SymmetricCircuit, s_row: dict[int, int],
                  column: dict[int, int], bits: int, low: int
-                 ) -> tuple[int, list[_Tables], list[_Tables]]:
-    """The bottom gates as _Tables over blocks whose last `low` of the
-    `bits` enumerated columns vary and whose others, the high ones, are
-    fixed.  low is first lowered until the gates' tables, 2^a entries for a
-    gate with a inputs among the low columns and twice that for one with an
-    eliminated input, hold at most 2^_BLOCK_ENTRY_BITS entries together, or
-    to 0.  Returns that low, then the gates that read no high bit, whose
-    tables are the same in every block, and the others, each as one
-    _Tables or none."""
-    # per gate, its eliminated input as (row of S, weight) or None and its
+                 ) -> tuple[int, Optional[_Tables], Optional[_Tables]]:
+    """The top terms, bottom gates and direct wires alike, as _Tables over
+    blocks whose last `low` of the `bits` enumerated columns vary and whose
+    others, the high ones, are fixed.  low is first lowered until the
+    terms' tables, 2^a entries for a term with a inputs among the low
+    columns and twice that for one with an eliminated input, hold at most
+    2^_BLOCK_ENTRY_BITS entries together, or to 0.  Returns that low, then
+    the terms that read no high bit, whose tables are the same in every
+    block, and the others, each as one _Tables or None."""
+    # per term, its eliminated input as (row of S, weight) or None and its
     # enumerated inputs as (column, weight); columns ascend with the
-    # variable index
+    # variable index.  Bottom gates come first, so j is a gate's index
+    terms = _top_terms(circuit)
     gates = []
-    for j, gate in enumerate(circuit.bottom):
-        flip, inputs = None, []
-        for i, w in sorted(gate.inputs):
+    for j, (_, inputs, _) in enumerate(terms):
+        flip, enumerated = None, []
+        for i, w in sorted(inputs):
             if i in s_row:
                 if flip is not None:
                     raise InputError(f"gate {j} has two or more inputs in "
                                      "the eliminated set")
                 flip = (s_row[i], w)
             else:
-                inputs.append((column[i], w))
-        gates.append((flip, inputs))
+                enumerated.append((column[i], w))
+        gates.append((flip, enumerated))
 
     def entries(low: int) -> int:
         return sum((1 + (flip is not None))
@@ -381,11 +387,10 @@ def _gate_tables(circuit: SymmetricCircuit, s_row: dict[int, int],
     while low and entries(low) > 1 << _BLOCK_ENTRY_BITS:
         low -= 1
     high = bits - low
-    # per part, the gates as (int64 form, table, shape, (high column,
+    # per part, the terms as (int64 form, table, shape, (high column,
     # weight) pairs, top weight, k)
     parts: tuple[list, list] = ([], [])
-    for gate, (flip, inputs), top_w in zip(circuit.bottom, gates,
-                                           circuit.top_gate_weights):
+    for (pred, _, top_w), (flip, inputs) in zip(terms, gates):
         table, shape, high_pairs, k = [0], [1] * low, [], None
         for c, w in inputs:
             if c < high:
@@ -396,32 +401,30 @@ def _gate_tables(circuit: SymmetricCircuit, s_row: dict[int, int],
         if flip is not None:
             k, w = flip
             table += [s + w for s in table]
-        parts[bool(high_pairs)].append((gate.pred.int64_form(), table,
+        parts[bool(high_pairs)].append((pred.int64_form(), table,
                                         tuple(shape), high_pairs, top_w, k))
-    out: tuple[list[_Tables], list[_Tables]] = ([], [])
-    for varies, part in enumerate(parts):
+    out: list[Optional[_Tables]] = []
+    for part in parts:
         if not part:
+            out.append(None)
             continue
-        # gates with the same axes and k end up adjacent within a kind
-        part.sort(key=lambda g: (g[2], g[5] is not None, g[5] or 0))
-        order, test = _gate_test([g[0] for g in part],
-                                 [len(g[1]) for g in part])
-        part = [part[j] for j in order]
+        # one kind after another, and within a kind the terms with the same
+        # axes and k adjacent
+        part.sort(key=lambda g: (g[0][0], g[2], g[5] is not None, g[5] or 0))
         high_w = np.zeros((high, len(part)), dtype=np.int64)
-        for g, (_, _, _, high_pairs, _, _) in enumerate(part):
-            for c, w in high_pairs:
-                high_w[c, g] = w
         spans: list[list] = []
         start = 0
-        for _, table, shape, _, _, k in part:
+        for g, (_, table, shape, high_pairs, _, k) in enumerate(part):
+            for c, w in high_pairs:
+                high_w[c, g] = w
             if spans and spans[-1][2:4] == [shape, k]:
                 spans[-1][1] += len(table)
                 spans[-1][4] = True
             else:
                 spans.append([start, start + len(table), shape, k, False])
             start += len(table)
-        out[varies].append(_Tables(
-            test,
+        out.append(_Tables(
+            _gate_test([g[0] for g in part], [len(g[1]) for g in part]),
             np.array([s for g in part for s in g[1]], dtype=np.int64),
             high_w,
             np.repeat(np.arange(len(part)), [len(g[1]) for g in part]),
@@ -438,20 +441,23 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     the set itself in closed form.
 
     The other variables are enumerated lexicographically, lowest index most
-    significant, in blocks of rows.  In each row every gate is a constant or
-    a function of its one eliminated input, whatever its predicate, so the
-    top sum is a constant plus a gain g_i * x_i per eliminated variable.
+    significant, in blocks of rows.  A direct wire x_i of weight w is the
+    one-input gate x_i >= 1 of top weight w, so the top sum adds up the top
+    weights of the gates that fire.  In each row every gate is a constant
+    or a function of its one eliminated input, whatever its predicate, so
+    the top sum is a constant plus a gain g_i * x_i per eliminated variable.
     A block fixes its high enumerated bits, so a gate's sum there depends
     only on its a inputs among the block's low bits: the gate is tested on
     its own table of 2^a sums, not on every row, and a gate with an
     eliminated input i also on the same table plus i's weight.  Its top
     weight where it fires is added along its inputs' axes of the block's
     (2,) * low view: into the top sums, or, both tables at once, into
-    sides[i], the terms that i's gates and direct wire add to the top sum
-    with x_i = 0 and with x_i = 1; g_i is their difference.  A gate that
-    reads no high bit is tested and added once for all blocks.  The top
-    sums and sides, (2|S| + 1) * rows entries, and the gates' tables
-    together stay within 2^_BLOCK_ENTRY_BITS, unless a block is one row.
+    sides[i], the terms that i's gates add to the top sum with x_i = 0 and
+    with x_i = 1; g_i is their difference.  A gate that reads no high bit
+    is tested and added once for all blocks.  The top sums and sides,
+    (2|S| + 1) * rows entries, and the gates' tables together, direct
+    wires' included, stay within 2^_BLOCK_ENTRY_BITS, unless a block is
+    one row.
     A `ge` top holds somewhere in the row iff the constant plus the positive
     gains reaches its threshold, and then x_i = [g_i > 0] satisfies it.
     Any other top is tested on every sum the row reaches.  The offsets
@@ -496,38 +502,28 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
                                        max(0, low))
     high = bits - low
     width = 1 << low
-    # what every block shares: the gates that read no high bit, and the
-    # direct wires on the low and the eliminated variables.  sides[k, x]
-    # holds the top-sum terms of eliminated variable k's gates and direct
-    # wire with x_k = x, and top those of the rest
+    # what every block shares: the gates that read no high bit.  sides[k, x]
+    # holds the top-sum terms of eliminated variable k's gates with x_k = x,
+    # and top those of the rest
     top = np.zeros(width, dtype=np.int64)
     top_view = top.reshape((2,) * low)
     sides = np.zeros((len(s_list), 2, width), dtype=np.int64)
     sides_view = sides.reshape((len(s_list), 2) + (2,) * low)
-    direct_high = np.zeros(high, dtype=np.int64)
-    for i, w in circuit.direct_wires:
-        if i in s_row:
-            sides[s_row[i], 1] += w
-        elif column[i] < high:
-            direct_high[column[i]] = w
-        else:
-            top_view[(slice(None),) * (column[i] - high) + (1,)] += w
-    for t in fixed:
-        t.add(t.sums, top_view, sides_view)
+    if fixed is not None:
+        fixed.add(fixed.sums, top_view, sides_view)
     high_shifts = np.arange(high - 1, -1, -1, dtype=np.int64)
     offsets = np.arange(spread + 1, dtype=np.int64)
     # a row's reachable offsets, bit b of word k standing for offset 64k + b
     words = spread // 64 + 1
     block_top, block_sides = top, sides
     for block in range(1 << high):
-        if high:
+        if varying is not None:
             on = ((block >> high_shifts) & 1).astype(bool)
-            block_top = top + int(direct_high[on].sum())
-            block_sides = sides.copy()
-            for t in varying:
-                t.add(t.sums + t.high_w[on].sum(axis=0)[t.owner],
-                      block_top.reshape(top_view.shape),
-                      block_sides.reshape(sides_view.shape))
+            block_top, block_sides = top.copy(), sides.copy()
+            varying.add(varying.sums
+                        + varying.high_w[on].sum(axis=0)[varying.owner],
+                        block_top.reshape(top_view.shape),
+                        block_sides.reshape(sides_view.shape))
         if top_ge:
             sat = holds_columns(top_kind, top_columns,
                                 block_top + block_sides.max(axis=1).sum(axis=0))

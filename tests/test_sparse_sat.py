@@ -125,7 +125,7 @@ def test_exceptional_gates_counts_two_free_inputs():
     assert exceptional_gates(circuit, {0, 1, 2, 3}) == (0, 1)
 
 
-def test_sample_restriction_keeps_the_first_draw():
+def test_solve_keeps_the_first_draw():
     """A draw with many exceptional gates is kept by solve as drawn, not
     redrawn in favour of a smaller free set."""
     circuit = random_mixed_circuit(24, 48, seed=9)
@@ -271,9 +271,12 @@ def test_eliminate_matches_product_oracle(source, monkeypatch):
     take every `ge` top threshold from one below the smallest top sum to one
     past the largest; mixed-predicate bases take a SAT and an UNSAT top of
     every kind (ge, eq, mod, set).  All have direct wires and top weights of
-    both signs.  A witness must lie in the first row, in enumeration order,
-    that holds one, and the rows counted must end there, or cover every row
-    when the circuit is UNSAT.  Every third circuit has 3n wires.  "blocks"
+    both signs.  Each seed also gives a base with no gates, only the
+    threshold base's direct wires, under every `ge` threshold and the mixed
+    tops: its one-input gate tables alone decide it.  A witness must lie in
+    the first row, in enumeration order, that holds one, and the rows
+    counted must end there, or cover every row when the circuit is UNSAT.
+    Every third circuit has 3n wires.  "blocks"
     eliminates the greedy set with the kernel's block bound lowered to 2^4
     entries, so that (2|S| + 1) * rows <= 16 and the gates' tables hold at
     most 16 entries together, or a block is one row: an UNSAT `ge` top
@@ -305,7 +308,8 @@ def test_eliminate_matches_product_oracle(source, monkeypatch):
         mixed = replace(mixed, top_gate_weights=tuple(
             -w if k % 3 == seed % 3 else w
             for k, w in enumerate(mixed.top_gate_weights)))
-        for base in (threshold, mixed):
+        wired = replace(threshold, bottom=(), top_gate_weights=())
+        for base in (threshold, mixed, wired):
             if source in ("greedy", "blocks"):
                 chosen = set(greedy_independent_set(base))
             elif source == "draw":
@@ -317,8 +321,12 @@ def test_eliminate_matches_product_oracle(source, monkeypatch):
             if base is threshold:
                 tops = [(Predicate.ge(t), None)
                         for t in range(min(sums) - 1, max(sums) + 2)]
-            else:
+            elif base is mixed:
                 tops = _mixed_tops(sums)
+            else:
+                tops = [(Predicate.ge(t), t <= max(sums))
+                        for t in range(min(sums) - 1, max(sums) + 2)]
+                tops += _mixed_tops(sums)
             split += _check_first_rows(base, chosen, sums, tops, blocks)
     if source == "blocks":
         assert split >= 27
@@ -558,10 +566,15 @@ def test_eliminate_reach_words_at_their_boundaries():
 
 
 def test_eliminate_refuses_dependent_sets():
+    """A set with two inputs of one gate is refused, naming the first such
+    gate's index in circuit.bottom; so is a variable outside the circuit."""
     circuit = random_mixed_circuit(10, 16, seed=4, direct_count=3)
-    gate = next(g for g in circuit.bottom if len(g.inputs) >= 2)
+    gate = [g for g in circuit.bottom if len(g.inputs) >= 2][-1]
     pair = {gate.inputs[0][0], gate.inputs[1][0]}
-    with pytest.raises(InputError):
+    first = next(j for j, g in enumerate(circuit.bottom)
+                 if pair <= {i for i, _ in g.inputs})
+    assert first > 0
+    with pytest.raises(InputError, match=rf"^gate {first} has two"):
         eliminate(circuit, pair, WorkCounters())
     with pytest.raises(InputError):
         eliminate(circuit, {10}, WorkCounters())
@@ -759,23 +772,30 @@ def test_solve_reports_params_only_when_they_choose_p():
 
 
 def test_many_one_input_gates_stay_small():
-    """8,192 one-input `ge` gates under a `ge` top: the greedy set holds
-    every variable, so one row decides the circuit.  A dense |S| x m gain
-    matrix would alone take 512 MiB; the gates' one-entry tables keep the
-    solve's traced peak below 64 MB."""
+    """8,192 one-input `ge` gates under an UNSAT `ge` top, alone and with a
+    direct wire of weight +1 or -1 (alternating) on every variable: the
+    greedy set holds every variable, so one row decides the circuit.  A
+    dense |S| x m gain matrix would alone take 512 MiB; the gates' tables,
+    one entry and its flipped one for each gate and each direct wire, keep
+    the solve's traced peak below 64 MB."""
     n = 8192
     gates = tuple(SymmetricGate(((i, 1),), Predicate.ge(1)) for i in range(n))
-    circuit = SymmetricCircuit(n, gates, (1,) * n, (), Predicate.ge(n + 1))
-    cnt = WorkCounters()
-    tracemalloc.start()
-    try:
-        outcome = solve_symmetric(circuit, counters=cnt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not outcome.satisfiable and len(outcome.eliminated) == n
-    assert cnt.assignments == 1
-    assert peak < 64 * 10 ** 6
+    alone = SymmetricCircuit(n, gates, (1,) * n, (), Predicate.ge(n + 1))
+    # the largest top sum takes every gate and the n / 2 wires of weight +1
+    wired = replace(alone, direct_wires=tuple((i, 1 - 2 * (i % 2))
+                                              for i in range(n)),
+                    top_pred=Predicate.ge(n + n // 2 + 1))
+    for circuit in (alone, wired):
+        cnt = WorkCounters()
+        tracemalloc.start()
+        try:
+            outcome = solve_symmetric(circuit, counters=cnt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not outcome.satisfiable and len(outcome.eliminated) == n
+        assert cnt.assignments == 1
+        assert peak < 64 * 10 ** 6
 
 
 def test_many_wide_gates_stay_small():
