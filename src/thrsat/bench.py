@@ -100,19 +100,6 @@ def bench_suite(suite: str, count: int, *, n: int = 24, c: int = 1,
     return records
 
 
-def bench_speedup(count: int = 3, *, seed: int = 0, n: int = 24, c: int = 1,
-                  fan_in: int = 3,
-                  force_restriction: bool = False) -> list[BenchRecord]:
-    """The headline configuration: by default density one, fan-in three,
-    n = 24.
-
-    On these instances the full cube has 2^n points, so any empirical
-    exponent below 1.0 is measured savings.
-    """
-    return bench_suite("circuit", count, n=n, c=c, seed=seed, fan_in=fan_in,
-                       force_restriction=force_restriction)
-
-
 def format_table(records: list[BenchRecord]) -> str:
     header = [f.name for f in fields(BenchRecord)[:-1]]
     header += [f.name for f in fields(WorkCounters)]

@@ -283,17 +283,16 @@ def _gate_test(forms: Sequence[tuple[PredKind, tuple[int, ...]]],
 
 def _steps_to(steps: Sequence[int], target: int) -> list[bool]:
     """Which of the nonnegative steps a subset summing to target takes; the
-    target must be reachable.  Backtracks through the prefix reach sets."""
-    prefix = [np.zeros(target + 1, dtype=bool)]
-    prefix[0][0] = True
+    target must be reachable.  Backtracks through the prefix reach sets,
+    Python ints whose bit s is set when some subset of the first steps sums
+    to s."""
+    prefix = [1]
     for a in steps:
-        reach = prefix[-1].copy()
-        if a <= target:
-            reach[a:] |= prefix[-1][:target + 1 - a]
-        prefix.append(reach)
+        p = prefix[-1]
+        prefix.append(p | p << a)
     taken = []
     for k in range(len(steps) - 1, -1, -1):
-        took = not prefix[k][target]
+        took = not prefix[k] >> target & 1
         target -= steps[k] if took else 0
         taken.append(took)
     return taken[::-1]
@@ -465,11 +464,11 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
     gain_bounds W, and each row keeps the reachable ones as W // 64 + 1
     packed uint64 words; an eliminated variable moves them by one shift-or
     on the whole block when all its rows shift by the same whole words, and
-    by one shift-or per whole-word shift otherwise.  The top predicate,
-    tested on the (rows, W + 1) sums, is packed the same way and and-ed in;
-    the witness takes the lowest reachable offset it accepts.  Then rows *
-    (W + 1) stays below 2^_BLOCK_ELEMENT_BITS too, unless a block is one
-    row.
+    by one shift-or per whole-word shift otherwise.  The words are then
+    unpacked once into (rows, W + 1) bits, and the top predicate, tested on
+    the (rows, W + 1) sums, is and-ed into them; the witness takes the
+    lowest reachable offset it accepts.  Then rows * (W + 1) stays below
+    2^_BLOCK_ELEMENT_BITS too, unless a block is one row.
     Returns the total assignment of the first satisfiable row, or None;
     cnt.assignments grows by the rows examined.  A set in which some gate
     has two inputs is refused, and so is one whose W, under a top other
@@ -545,12 +544,11 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
                     part = reach[rows]
                     _shift_or(part, int(q), shift[rows])
                     reach[rows] = part
-            accept = np.zeros((width, 8 * words), dtype=np.uint8)
-            packed = np.packbits(holds_columns(top_kind, top_columns,
-                                               least[:, None] + offsets),
-                                 axis=1, bitorder="little")
-            accept[:, :packed.shape[1]] = packed
-            hits = reach & accept.view("<u8")
+            hits = np.unpackbits(
+                reach.astype("<u8", copy=False).view(np.uint8), axis=1,
+                count=spread + 1, bitorder="little")
+            hits &= holds_columns(top_kind, top_columns,
+                                  least[:, None] + offsets)
             sat = hits.any(axis=1)
         if sat.any():
             hit = int(np.argmax(sat))
@@ -562,12 +560,9 @@ def eliminate(circuit: SymmetricCircuit, eliminated: Collection[int],
             if top_ge:
                 chosen = list(block_sides[:, 1, hit] > block_sides[:, 0, hit])
             else:
-                # the lowest reachable offset the top accepts: the lowest
-                # set bit of the first nonzero word
-                first = int(np.argmax(hits[hit] != 0))
-                word = int(hits[hit, first])
+                # the lowest reachable offset the top accepts
                 taken = _steps_to([int(a) for a in steps[:, hit]],
-                                  64 * first + (word & -word).bit_length() - 1)
+                                  int(np.argmax(hits[hit])))
                 # a taken step is x = 1 for a positive gain, x = 0 otherwise
                 chosen = [t != (g < 0) for t, g in zip(taken, gain[:, hit])]
             for k, v in enumerate(s_list):

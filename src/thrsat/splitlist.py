@@ -72,9 +72,12 @@ class HalfList(NamedTuple):
     tags[r], whose pos-th variable takes digit (tags[r] // arity^pos) % arity.
     Tags increase down the list.  Both are views of one (d + 1, rows) table
     with a column per listed assignment and the tag in its last row: vectors
-    is the transpose of the first d rows, tags the last row."""
+    is the transpose of the first d rows, tags the last row.  grown counts
+    the partial and full assignments listed on the way, one per column that
+    _grow built for this half."""
     vectors: np.ndarray  # (rows, len(normalized rows)) int64
     tags: np.ndarray     # (rows,) int64
+    grown: int
 
 
 def _grow(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -84,10 +87,11 @@ def _grow(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
-                  floor: np.ndarray, arity: int) -> np.ndarray:
+                  floor: np.ndarray, arity: int) -> tuple[np.ndarray, int]:
     """The assignments to the h variables of weights (h, d) whose row sums
     reach floor in every row, as one (d + 1, rows) table: one column per
-    assignment, its row sums and then its tag.  gain and loss are
+    assignment, its row sums and then its tag; and the number of columns
+    the _grow calls built on the way.  gain and loss are
     max(0, (arity - 1) * weights) and min(0, (arity - 1) * weights).
 
     The variables are added one at a time by _grow, the last added the
@@ -119,9 +123,11 @@ def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
     offsets = steps[:, :, None] * np.arange(arity)
     table = np.zeros((d + 1, 1), dtype=np.int64)
     filtered = 1
+    grown = 0
     for k in range(h + 1):
         if k:
             table = _grow(table, offsets[k - 1])
+            grown += table.shape[1]
         size = table.shape[1]
         if k == start or k > start and (k == h or size >= 4 * filtered):
             keep = (table[:d] >= bound[k, :, None]).all(axis=0)
@@ -129,7 +135,7 @@ def _bounded_sums(weights: np.ndarray, gain: np.ndarray, loss: np.ndarray,
             filtered = table.shape[1]
             if not filtered:
                 break
-    return table
+    return table, grown
 
 
 def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
@@ -144,7 +150,8 @@ def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
     second-half assignments whose slack is at most the first list's column
     maximum in every row, and is empty when the first is.  Feasibility is
     then a dominating-pair question between the two.  With no row that
-    prunes, the lists hold all arity^h and arity^(n-h) assignments.
+    prunes, the lists hold all arity^h and arity^(n-h) assignments, grown
+    through the sums of arity^k over k = 1..h and over k = 1..n-h columns.
     """
     arity = sys.arity
     weights = np.zeros((sys.n_vars, len(rows)), dtype=np.int64)
@@ -155,15 +162,17 @@ def half_lists(sys: IneqSystem, rows: NormRows) -> tuple[HalfList, HalfList]:
     half = (sys.n_vars + 1) // 2
     scaled = (arity - 1) * weights
     gain, loss = np.maximum(scaled, 0), np.minimum(scaled, 0)
-    first = _bounded_sums(weights[:half], gain[:half], loss[:half],
-                          rhs - gain[half:].sum(axis=0), arity)
+    first, first_grown = _bounded_sums(
+        weights[:half], gain[:half], loss[:half],
+        rhs - gain[half:].sum(axis=0), arity)
+    second, second_grown = first, 0
     if first.shape[1]:
-        second = _bounded_sums(weights[half:], gain[half:], loss[half:],
-                               rhs - first[:-1].max(axis=1), arity)
+        second, second_grown = _bounded_sums(
+            weights[half:], gain[half:], loss[half:],
+            rhs - first[:-1].max(axis=1), arity)
         np.subtract(rhs[:, None], second[:-1], out=second[:-1])
-    else:
-        second = first
-    return HalfList(first[:-1].T, first[-1]), HalfList(second[:-1].T, second[-1])
+    return (HalfList(first[:-1].T, first[-1], first_grown),
+            HalfList(second[:-1].T, second[-1], second_grown))
 
 
 def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
@@ -174,9 +183,11 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
     The guard refuses systems whose larger half has more than
     2^max_half_vars assignments, or more than 2^TAG_BITS whatever the guard,
     and then those whose unpruned half table, (normalized rows + 1) *
-    arity^ceil(n/2) int64 entries, exceeds MAX_TABLE_ENTRIES.  cnt.vectors
-    grows by the rows of both pruned half lists, the rows handed to the
-    dominating-pair search, and the search's own counts are added to cnt.
+    arity^ceil(n/2) int64 entries, exceeds MAX_TABLE_ENTRIES.
+    cnt.assignments grows by both halves' grown counts, the partial and
+    full half assignments listed, cnt.vectors by the rows of both pruned
+    half lists, the rows handed to the dominating-pair search, and the
+    search's own counts are added to cnt.
     """
     cnt = counters if counters is not None else WorkCounters()
     n, arity = sys.n_vars, sys.arity
@@ -197,6 +208,7 @@ def solve_ilp(sys: IneqSystem, *, max_half_vars: int = MAX_HALF_VARS,
             "guard")
 
     first, second = half_lists(sys, rows)
+    cnt.assignments += first.grown + second.grown
     cnt.vectors += len(first.vectors) + len(second.vectors)
 
     if not rows:

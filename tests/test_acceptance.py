@@ -283,7 +283,7 @@ def test_criterion_10_measured_speedup():
         assert outcome.eliminated, "no variable was eliminated"
         assert cnt.total() <= rows, (seed, cnt.total(), rows)
         assert cnt.total() < 1 << n, (seed, cnt.total())
-    records = bench.bench_speedup(3, seed=0)
+    records = bench.bench_suite("speedup", 3, seed=0)
     table = bench.format_table(records)
     print(table, end="")
     assert all(r.empirical_exponent < 1.0 for r in records)

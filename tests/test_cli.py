@@ -160,7 +160,7 @@ def test_bench_columns_follow_work_counters(monkeypatch):
         table_entries: int = 0
 
     monkeypatch.setattr(bench, "WorkCounters", Wider)
-    records = bench.bench_speedup(1)
+    records = bench.bench_suite("speedup", 1)
     header, *rows = bench.format_table(records).splitlines()
     assert header.endswith(
         "median_selections,table_entries,empirical_exponent")

@@ -512,16 +512,19 @@ def _spread_parts(spread, k, rng):
 def test_eliminate_reach_words_at_their_boundaries():
     """eliminate against plain enumeration over evaluate where a row's
     reachable offsets fill one, two, three or many 64-bit words: spreads W
-    of 62-66, 126-130 and above 1,000, gains of both signs, single steps of
-    exactly 63, 64 and 65, and within one block rows whose steps shift by
-    different whole words.  Under `eq`, `mod` and `set` tops a witness
-    must lie in the first row that reaches an accepted top sum and reach
-    the least such sum of that row; an UNSAT solve examines every row."""
+    of 6-8 and 14-16, whose W + 1 bits end inside or at the end of a byte
+    of the first word, 62-66, 126-130 and above 1,000, gains of both signs,
+    single steps of exactly 63, 64 and 65, and within one block rows whose
+    steps shift by different whole words.  Under `eq`, `mod` and `set` tops
+    a witness must lie in the first row that reaches an accepted top sum
+    and reach the least such sum of that row; an UNSAT solve examines every
+    row."""
     rng = Random(64)
     cases = [[(0, 63)], [(0, 64)], [(0, -65)], [(63, 0), (0, 2)],
              [(-64, 0), (1, 0)], [(0, 65), (-1, 0)], [(65, 64), (-63, 0)],
              [(64, -65), (0, 63), (-1, 1)]]
-    for spread in (62, 63, 64, 65, 66, 126, 127, 128, 129, 130, 1100, 1500):
+    for spread in (6, 7, 8, 14, 15, 16, 62, 63, 64, 65, 66, 126, 127, 128, 129,
+                   130, 1100, 1500):
         cases += [_spread_parts(spread, k, rng) for k in (2, 4)]
     widths = set()
     for parts in cases:

@@ -24,7 +24,7 @@ def vector_identity(n, arity):
 
 def listed(half_list):
     """A half list as {tag: vector}, checking its shape and tag order."""
-    vectors, tags = half_list
+    vectors, tags = half_list.vectors, half_list.tags
     assert vectors.dtype == np.int64 and tags.dtype == np.int64
     assert vectors.ndim == 2 and tags.shape == (len(vectors),)
     assert all(np.diff(tags) > 0)
@@ -331,6 +331,60 @@ def test_first_variable_prunes_everything():
     witness, _ = solve_ilp(system, counters=cnt)
     assert witness is None and cnt.vectors == 0
     assert check_against_brute(system) is None
+
+
+def test_solve_ilp_counts_the_columns_grown():
+    """cnt.assignments counts the partial and full half assignments listed,
+    each column that _grow builds, each half once.  With no row that
+    prunes, that is the sum of arity^k over k = 1..h and over k = 1..n-h,
+    h = ceil(n/2), and the lists are whole; when the first list is empty,
+    the second half adds nothing."""
+    for n, arity in ((2, 2), (5, 2), (6, 3), (7, 4)):
+        h = (n + 1) // 2
+        grown = (sum(arity ** k for k in range(1, h + 1))
+                 + sum(arity ** k for k in range(1, n - h + 1)))
+        # both rows hold at every assignment
+        loose = (Row(((0, 1), (n - 1, 2)), Rel.GE, 0),
+                 Row(((n // 2, -1),), Rel.LE, 0))
+        for rows in ((), loose):
+            cnt = WorkCounters()
+            witness, _ = solve_ilp(IneqSystem(n, rows, arity), counters=cnt)
+            assert witness is not None
+            assert cnt.vectors == vector_identity(n, arity)
+            assert cnt.assignments == grown, (n, arity, rows)
+    # x0 >= 1 and x0 <= 0: the first variable's two columns empty the first
+    # list, and the second half builds nothing
+    system = IneqSystem(4, (Row(((0, 1),), Rel.GE, 1),
+                            Row(((0, 1),), Rel.LE, 0)), 2)
+    cnt = WorkCounters()
+    assert solve_ilp(system, counters=cnt)[0] is None
+    assert cnt.assignments == 2
+
+
+def test_ilp_bench_counts_the_columns_grown(monkeypatch):
+    """The `ilp` bench suite at n = 24 with 8 rows: cnt.assignments is the
+    number of columns the _grow calls built.  Seeds 1 and 2 have a row
+    above its maximum, which empties the first list at the root, so
+    nothing is grown and the second half is not listed."""
+    from thrsat.bench import bench_suite
+    built = []
+    real = splitlist._grow
+
+    def recording(table, offsets):
+        out = real(table, offsets)
+        built.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(splitlist, "_grow", recording)
+    got = []
+    for seed in range(4):
+        built.clear()
+        (record,) = bench_suite("ilp", 1, n=24, rows=8, seed=seed)
+        assert record.counters.assignments == sum(built)
+        got.append((record.verdict, record.counters.assignments,
+                    record.counters.vectors))
+    assert got == [("UNSAT", 790, 128), ("UNSAT", 0, 0), ("UNSAT", 0, 0),
+                   ("SAT", 5346, 1072)]
 
 
 @st.composite
