@@ -72,16 +72,12 @@ def bench_suite(suite: str, count: int, *, n: int = 24, c: int = 1,
         suite = "circuit"
         fan_in = 3 if fan_in is None else fan_in
     prefix, kind, weight_bound, solver = _SUITES[suite]
-    if solver is solve_ilp:
-        name = f"{prefix}-{n}-{rows}"
-        spec = GenSpec(kind=kind, n=n, rows=rows, arity=arity,
-                       weight_bound=weight_bound)
-    else:
-        name = f"{prefix}-{n}-{c}"
-        fan_in = fan_in if suite == "circuit" else None
-        spec = GenSpec(kind=kind, n=n, c=c, weight_bound=weight_bound,
-                       distribution="uniform_fanin" if fan_in is None
-                       else "fixed_fanin", fan_in=fan_in)
+    fan_in = fan_in if suite == "circuit" else None
+    spec = GenSpec(kind=kind, n=n, c=None if solver is solve_ilp else c,
+                   rows=rows, weight_bound=weight_bound, arity=arity,
+                   distribution="uniform_fanin" if fan_in is None
+                   else "fixed_fanin", fan_in=fan_in)
+    name = f"{prefix}-{n}-{rows if spec.c is None else spec.c}"
     records = []
     for s in range(seed, seed + count):
         instance = generate(replace(spec, seed=s))

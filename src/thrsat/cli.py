@@ -139,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--weight-bound", type=int, default=8)
     gen_p.add_argument("--distribution", default="uniform_fanin",
-                       choices=("uniform_fanin", "fixed_fanin",
-                                "adversarial_pow2"))
+                       choices=GenSpec._DISTRIBUTIONS)
     gen_p.add_argument("--fan-in", type=int, default=None)
     gen_p.set_defaults(func=_cmd_gen)
 

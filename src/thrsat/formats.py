@@ -3,7 +3,8 @@
 The formats are UTF-8, whitespace-tokenized, with `#` starting a comment that
 runs to the end of the line.  All integers are decimal and must fit in a
 signed 32-bit word.  Parsing and emitting are exact inverses on canonical
-text, and emit always produces canonical text.
+text, and emit always produces canonical text: both circuit formats are read
+by one `_parse_gates` and written by its mirror, `_emit_gates`.
 
 Threshold circuits::
 
@@ -112,9 +113,9 @@ def _header(lines: _Lines, tag: str, fields: int) -> tuple[int, list[int]]:
 
 
 def _top_terms(tokens: list[str], lineno: int, m: int
-               ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+               ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     gate_w = {}
-    direct = {}
+    direct = []
     for token in tokens:
         if token.startswith("g"):
             j, w = _term(token, lineno, "g")
@@ -124,14 +125,11 @@ def _top_terms(tokens: list[str], lineno: int, m: int
                 raise ParseError(lineno, f"duplicate top weight for g{j}")
             gate_w[j] = w
         elif token.startswith("x"):
-            i, w = _term(token, lineno, "x")
-            if i in direct:
-                raise ParseError(lineno, f"duplicate direct wire x{i}")
-            direct[i] = w
+            direct.append(_term(token, lineno, "x"))
         else:
             raise ParseError(lineno, f"expected g- or x-term, got {token!r}")
     weights = tuple(gate_w.get(j, 0) for j in range(m))
-    return weights, tuple(sorted(direct.items()))
+    return weights, sorted(direct)
 
 
 def _parse_pred(tokens: list[str], lineno: int) -> tuple[Predicate, list[str]]:
@@ -235,13 +233,26 @@ def _emit_inputs(terms: Sequence[tuple[int, int]], what: str, j: int) -> str:
     return _emit_terms(terms)
 
 
-def _emit_top(circuit: SymmetricCircuit, head: str) -> str:
-    """The top line: head, then the nonzero gate weights and the direct
+def _emit_pred(pred: Predicate) -> str:
+    if pred.kind is PredKind.MEMBER:
+        return "set " + ",".join(map(_num, pred.params))
+    return " ".join((pred.kind.value, *map(_num, pred.params)))
+
+
+def _emit_gates(circuit: SymmetricCircuit, header: str, gate_word: str,
+                top_word: str, pred_text) -> str:
+    """Header, gate lines and top line of a circuit, the mirror of
+    `_parse_gates`; the top lists the nonzero gate weights, then the direct
     wires by index, the order they read back in."""
+    out = [header]
+    for j, gate in enumerate(circuit.bottom):
+        out.append(f"{gate_word} {pred_text(gate.pred)} "
+                   f"{_emit_inputs(gate.inputs, 'gate', j)}")
     gate_terms = tuple((j, w) for j, w in enumerate(circuit.top_gate_weights) if w)
-    return " ".join(part for part in (
-        head, _emit_terms(gate_terms, "g"),
-        _emit_terms(sorted(circuit.direct_wires), "x")) if part)
+    out.append(" ".join(part for part in (
+        top_word, pred_text(circuit.top_pred), _emit_terms(gate_terms, "g"),
+        _emit_terms(sorted(circuit.direct_wires), "x")) if part))
+    return "\n".join(out) + "\n"
 
 
 def emit_circuit(circuit: SymmetricCircuit) -> str:
@@ -249,18 +260,9 @@ def emit_circuit(circuit: SymmetricCircuit) -> str:
     than `ge`, for a gate with no inputs and for any integer outside the
     32-bit range."""
     require_threshold(circuit, "emit_circuit")
-    out = [f"tc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))}"]
-    for j, gate in enumerate(circuit.bottom):
-        out.append(f"gate {_num(gate.pred.params[0])} "
-                   f"{_emit_inputs(gate.inputs, 'gate', j)}")
-    out.append(_emit_top(circuit, f"top {_num(circuit.top_pred.params[0])}"))
-    return "\n".join(out) + "\n"
-
-
-def _emit_pred(pred: Predicate) -> str:
-    if pred.kind is PredKind.MEMBER:
-        return "set " + ",".join(map(_num, pred.params))
-    return " ".join((pred.kind.value, *map(_num, pred.params)))
+    return _emit_gates(
+        circuit, f"tc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))}",
+        "gate", "top", lambda pred: _num(pred.params[0]))
 
 
 def emit_symmetric(circuit: SymmetricCircuit) -> str:
@@ -271,13 +273,9 @@ def emit_symmetric(circuit: SymmetricCircuit) -> str:
     density = circuit.declared_density
     if density is None:
         density = -(-circuit.weighted_wires // max(circuit.n_vars, 1))
-    out = [f"sc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))} "
-           f"{_num(density)}"]
-    for j, gate in enumerate(circuit.bottom):
-        out.append(f"sgate {_emit_pred(gate.pred)} "
-                   f"{_emit_inputs(gate.inputs, 'gate', j)}")
-    out.append(_emit_top(circuit, f"stop {_emit_pred(circuit.top_pred)}"))
-    return "\n".join(out) + "\n"
+    return _emit_gates(circuit, f"sc2 {_num(circuit.n_vars)} "
+                       f"{_num(len(circuit.bottom))} {_num(density)}",
+                       "sgate", "stop", _emit_pred)
 
 
 def emit_ilp(system: IneqSystem) -> str:

@@ -29,6 +29,9 @@ from .errors import InputError
 # Every gate, top and row sum must stay strictly inside +-ACCUMULATION_GUARD,
 # so that it fits int64 whatever the weights (see check_accumulation).
 ACCUMULATION_GUARD = 1 << 62
+# the most variables a solver or generator takes; more are refused before
+# any Python loop over the variables runs
+MAX_VARS = 1 << 16
 
 
 class PredKind(str, Enum):

@@ -1,16 +1,16 @@
 """Reference implementations and instance generators for the test suite.
 
-Everything here is definitional: the brute-force deciders enumerate whole
-assignment spaces (vectorized, but with no algorithmic shortcuts, and with
-their own enumeration rather than the solvers' scan), so they stay
+Everything here is definitional: the brute-force deciders scan whole
+assignment spaces in one lexicographic enumeration, `_blocks` (vectorized,
+with no algorithmic shortcuts and not the solvers' scan), so they stay
 trustworthy at the small sizes the tests use.  Every circuit generator is
 one core, `_random_circuit`, given a fan-in plan (random fan-ins, one fixed
 fan-in, or powers of two) and a predicate picker (`ge` only, or a mix of
-kinds); `generate` picks both from a GenSpec's distribution and kind.
-Constraint systems and vector pairs have their own generators.  All are
-deterministic in their seed, and circuits have exact wire budgets.  No
-solver is imported: the instance types, `evaluate_batch` and the witness
-check `verify` come from `thrsat.model`.
+kinds); `generate` picks both from a GenSpec, which refuses sizes past its
+bounds.  Constraint systems and vector pairs have their own generators.
+All are deterministic in their seed, and circuits have exact wire budgets.
+No solver is imported: the instance types, MAX_VARS, `evaluate_batch` and
+the witness check `verify` come from `thrsat.model`.
 """
 from __future__ import annotations
 
@@ -22,22 +22,24 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (Assignment, IneqSystem, Predicate, Rel, Row,
+from .model import (MAX_VARS, Assignment, IneqSystem, Predicate, Rel, Row,
                     SymmetricCircuit, SymmetricGate, evaluate_batch, verify)
 
 MAX_BRUTE_VARS = 26
+MAX_GEN_ROWS = 1 << 16
+MAX_GEN_WIRES = 1 << 20
 _CHUNK = 1 << 16
 
 
-def _cube_blocks(n: int) -> Iterator[np.ndarray]:
-    """The cube {0,1}^n in lexicographic order, as (rows, n) blocks."""
-    total = 1 << n
+def _blocks(n: int, arity: int = 2) -> Iterator[np.ndarray]:
+    """The arity^n assignments in lexicographic order, first variable most
+    significant, as (rows, n) int64 blocks of _CHUNK rows."""
+    total = arity ** n
     for base in range(0, total, _CHUNK):
-        width = min(_CHUNK, total - base)
-        idx = np.arange(base, base + width, dtype=np.uint64)
-        block = np.zeros((width, n), dtype=np.uint8)
+        idx = np.arange(base, min(base + _CHUNK, total), dtype=np.int64)
+        block = np.empty((len(idx), n), dtype=np.int64)
         for pos in range(n):
-            block[:, pos] = ((idx >> np.uint64(n - 1 - pos)) & np.uint64(1)).astype(np.uint8)
+            block[:, pos] = idx // arity ** (n - 1 - pos) % arity
         yield block
 
 
@@ -51,7 +53,7 @@ def brute_circuit_sat(circuit: SymmetricCircuit, *,
             f"{circuit.n_vars} variables exceeds the {MAX_BRUTE_VARS}-variable "
             "brute guard")
     cnt = counters if counters is not None else WorkCounters()
-    for block in _cube_blocks(circuit.n_vars):
+    for block in _blocks(circuit.n_vars):
         verdicts = evaluate_batch(circuit, block)
         if verdicts.any():
             hit = int(np.argmax(verdicts))
@@ -70,7 +72,7 @@ def enumerate_satisfying(circuit: SymmetricCircuit) -> list[tuple[int, ...]]:
         raise ResourceGuardError(
             f"{n} variables exceeds the 20-variable enumeration guard")
     return [tuple(int(v) for v in block[hit])
-            for block in _cube_blocks(n)
+            for block in _blocks(n)
             for hit in np.flatnonzero(evaluate_batch(circuit, block))]
 
 
@@ -83,17 +85,11 @@ def brute_ilp(system: IneqSystem, *,
     if n > MAX_BRUTE_VARS or arity ** n > 1 << MAX_BRUTE_VARS:
         raise ResourceGuardError(
             f"{arity}^{n} assignments exceeds the 2^{MAX_BRUTE_VARS} brute guard")
-    total = arity ** n
     cnt = counters if counters is not None else WorkCounters()
-    for base in range(0, total, _CHUNK):
-        width = min(_CHUNK, total - base)
-        idx = np.arange(base, base + width, dtype=np.int64)
-        block = np.zeros((width, n), dtype=np.int64)
-        for pos in range(n):
-            block[:, pos] = (idx // arity ** (n - 1 - pos)) % arity
-        ok = np.ones(width, dtype=bool)
+    for block in _blocks(n, arity):
+        ok = np.ones(len(block), dtype=bool)
         for row in system.rows:
-            sums = np.zeros(width, dtype=np.int64)
+            sums = np.zeros(len(block), dtype=np.int64)
             for i, w in row.coeffs:
                 sums += w * block[:, i]
             ok &= row.rel.holds(sums, row.rhs)
@@ -104,7 +100,7 @@ def brute_ilp(system: IneqSystem, *,
             if not verify(system, found):
                 raise AssertionError("brute force produced a bad witness")
             return found
-        cnt.assignments += width
+        cnt.assignments += len(block)
     return None
 
 
@@ -324,12 +320,14 @@ def random_domination(n_a: int, n_b: int, d: int, seed: int, *,
 class GenSpec:
     """Declarative description of a generated instance.
 
-    kind picks the instance family; n is the variable count.  c is the wire
-    budget per variable for circuits, and rows is the row count for
-    constraint systems.  weight_bound, at least 1, bounds the absolute
-    weights.  distribution shapes circuit fan-ins: uniform_fanin draws them
-    at random, fixed_fanin pins them to fan_in, and adversarial_pow2 builds
-    one density unit of weight-one gates at every fan-in 2^j for j in 1..c.
+    kind picks the instance family; n, at most MAX_VARS, is the variable
+    count.  c is the wire budget per variable for circuits, with c * n at
+    most MAX_GEN_WIRES; rows, at most MAX_GEN_ROWS, is the row count for
+    constraint systems, whose arity is at least 2.  weight_bound, at least
+    1, bounds the absolute weights.  distribution shapes circuit fan-ins:
+    uniform_fanin draws them at random, fixed_fanin pins them to fan_in, and
+    adversarial_pow2 builds one density unit of weight-one gates at every
+    fan-in 2^j for j in 1..c.
     """
 
     kind: str
@@ -356,6 +354,14 @@ class GenSpec:
             raise InputError("weight_bound must be positive")
         if self.distribution == "fixed_fanin" and self.fan_in is None:
             raise InputError("fixed_fanin needs fan_in")
+        if self.n > MAX_VARS:
+            raise InputError(f"n must be at most {MAX_VARS}")
+        if self.kind == "ilp" and self.arity < 2:
+            raise InputError("ilp generation needs an arity of at least 2")
+        if self.kind == "ilp" and (self.rows or 0) > MAX_GEN_ROWS:
+            raise InputError(f"ilp generation takes at most {MAX_GEN_ROWS} rows")
+        if self.kind != "ilp" and (self.c or 0) * self.n > MAX_GEN_WIRES:
+            raise InputError(f"c * n must be at most {MAX_GEN_WIRES} wires")
 
 
 def generate(spec: GenSpec):

@@ -40,16 +40,13 @@ import numpy as np
 
 from .counters import WorkCounters
 from .errors import InputError, ResourceGuardError
-from .model import (ACCUMULATION_GUARD, Assignment, IneqSystem, PredKind,
-                    Predicate, Rel, Restriction, Row, SymmetricCircuit,
-                    WireStats, check_accumulation, evaluate, holds_columns,
-                    require_threshold, wire_stats)
+from .model import (ACCUMULATION_GUARD, MAX_VARS, Assignment, IneqSystem,
+                    PredKind, Predicate, Rel, Restriction, Row,
+                    SymmetricCircuit, WireStats, check_accumulation, evaluate,
+                    holds_columns, require_threshold, wire_stats)
 
 DEFAULT_DELTA = Fraction(1, 48)
 MAX_BRANCH_BITS = 30
-# a circuit with more variables is refused before the greedy set, the draw
-# and eliminate's set-up, Python loops over every variable, can run
-MAX_VARS = 1 << 16
 _BLOCK_ELEMENT_BITS = 14
 _BLOCK_ENTRY_BITS = 14
 _WIRE_GATE = Predicate.ge(1)

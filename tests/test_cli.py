@@ -2,9 +2,12 @@
 the package's public names."""
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -18,12 +21,12 @@ CORPUS = [
 ]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300, **kwargs):
     # the checkout's sources come first, as they do for the in-process tests
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "thrsat", *args],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 def test_solve_sat_exit_code_and_witness():
@@ -225,6 +228,31 @@ def test_gen_refuses_weight_bound_below_one():
         res = run_cli("gen", *args)
         assert res.returncode == 1, args
         assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def _limit_address_space():
+    # 1.5 GB: building the 200-million-variable circuit below ends in a
+    # MemoryError here, so none of these requests can take the machine's memory
+    limit = 1_500_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("args", [
+    "gen ilp --n 3 --rows 2 --arity 0",
+    "gen ilp --n 3 --rows 2 --arity -3",
+    "bench --suite ilp --n 4 --arity 0 --count 1",
+    "gen circuit --n 10 --c 1000000000",
+    "gen ilp --n 10 --rows 2000000000",
+    "bench --suite circuit --n 10 --c 1000000000 --count 1",
+    "gen circuit --n 200000000 --c 1"])
+def test_out_of_range_generation_exits_one(args):
+    """An ilp arity below 2 and sizes past the generation bounds are refused
+    with one error line, before any instance is built."""
+    res = run_cli(*args.split(), timeout=20, preexec_fn=_limit_address_space)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
 
 def test_solve_and_oracle_agree_with_no_variables(tmp_path):

@@ -285,6 +285,7 @@ def test_semantic_errors_become_parse_errors():
     (parse_circuit, "tc2 3 1\ngate 1 2:1 1:1 2:3\ntop 1 g0:1\n", 2),
     (parse_circuit, "tc2 3 1\ngate 1 0:1\ntop 1 g0:1 x1:0\n", 3),
     (parse_circuit, "tc2 3 1\ngate 1 0:1\ntop 1 g0:1 x3:1\n", 3),
+    (parse_circuit, "tc2 3 1\ngate 1 0:1\ntop 1 g0:1 x1:1 x1:2\n", 3),
     (parse_symmetric, "sc2 3 2 2\nsgate eq 1 0:1\nsgate ge 1 2:0\n"
      "stop ge 1 g0:1\n", 3),
     (parse_symmetric, "sc2 3 1 4\nsgate mod 2 1 0:1 0:1\nstop ge 1\n", 2),
@@ -298,6 +299,20 @@ def test_bad_weighted_terms_are_refused_on_their_line(parse, text, line):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("pred, message", [
+    ("", "missing predicate"), ("ge", "`ge` needs a value"),
+    ("eq", "`eq` needs a value"), ("mod 3", "`mod` needs a modulus"),
+    ("set", "`set` needs a comma-separated value list")])
+def test_missing_predicate_parameters_are_refused_on_their_line(pred, message):
+    """A gate or top predicate short of its parameters is a ParseError on
+    its own line."""
+    for text, line in ((f"sc2 3 1 1\nsgate {pred}\nstop ge 1 g0:1\n", 2),
+                       (f"sc2 3 1 1\nsgate ge 1 0:1\nstop {pred}\n", 3)):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_symmetric(text)
+        assert err.value.line == line
 
 
 def test_witness_roundtrip():

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
 from thrsat.formats import emit_circuit, emit_ilp, emit_symmetric
 from thrsat import sparse_sat
-from thrsat.model import IneqSystem, PredKind, SymmetricCircuit, evaluate
-from thrsat.oracle import (GenSpec, brute_circuit_sat, brute_domination,
+from thrsat.model import (MAX_VARS, Assignment, IneqSystem, PredKind, Rel, Row,
+                          SymmetricCircuit, evaluate)
+from thrsat.oracle import (MAX_GEN_ROWS, MAX_GEN_WIRES, GenSpec,
+                           brute_circuit_sat, brute_domination,
                            brute_ilp, enumerate_satisfying, generate,
                            random_domination,
                            random_fixed_fanin_circuit,
@@ -112,6 +115,33 @@ def test_brute_ilp_verifies():
         assert verify(system, witness)
 
 
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_brute_ilp_returns_the_lex_first_assignment(arity):
+    """The witness is the first feasible assignment in
+    itertools.product order, first variable most significant, and the
+    assignment count is its index + 1, or arity^n when none is feasible."""
+    n, verdicts = 5, set()
+    for seed in range(16):
+        system = random_ilp(n, 3, arity, seed=seed)
+        cnt = WorkCounters()
+        witness = brute_ilp(system, counters=cnt)
+        first = next(((k, values) for k, values in enumerate(
+            itertools.product(range(arity), repeat=n))
+            if verify(system, Assignment(values, arity))), None)
+        verdicts.add(first is None)
+        if first is None:
+            assert witness is None and cnt.assignments == arity ** n
+        else:
+            assert witness.values == first[1]
+            assert cnt.assignments == first[0] + 1
+    assert verdicts == {True, False}
+    # the first feasible assignment lies in a later block of rows
+    system = IneqSystem(9, (Row(((0, 1),), Rel.GE, arity - 1),), arity)
+    cnt = WorkCounters()
+    assert brute_ilp(system, counters=cnt).values == (arity - 1,) + (0,) * 8
+    assert cnt.assignments == (arity - 1) * arity ** 8 + 1
+
+
 def test_brute_domination_first_pair():
     a, b = random_domination(20, 20, 3, seed=8)
     pair = brute_domination(a, b)
@@ -207,6 +237,28 @@ def test_genspec_validation():
             with pytest.raises(InputError):
                 GenSpec(kind=kind, n=4, c=1, rows=2, weight_bound=bound)
 
+
+
+def test_genspec_size_bounds():
+    """n up to MAX_VARS, ilp rows up to MAX_GEN_ROWS and circuit wires c * n
+    up to MAX_GEN_WIRES are accepted, one past each bound and an ilp arity
+    below 2 are refused.  The specs are built, not generated."""
+    circuits = ("threshold_circuit", "symmetric_circuit")
+    for kind in circuits:
+        GenSpec(kind=kind, n=MAX_VARS, c=MAX_GEN_WIRES // MAX_VARS)
+        GenSpec(kind=kind, n=1, c=MAX_GEN_WIRES)
+    GenSpec(kind="ilp", n=MAX_VARS, rows=MAX_GEN_ROWS, arity=2)
+    refused = [dict(kind=kind, n=MAX_VARS + 1, c=1, rows=1)
+               for kind in (*circuits, "ilp")]
+    for kind in circuits:
+        refused += [dict(kind=kind, n=MAX_VARS, c=MAX_GEN_WIRES // MAX_VARS + 1),
+                    dict(kind=kind, n=1, c=MAX_GEN_WIRES + 1)]
+    refused += [dict(kind="ilp", n=4, rows=MAX_GEN_ROWS + 1),
+                dict(kind="ilp", n=4, rows=2, arity=1),
+                dict(kind="ilp", n=4, rows=2, arity=-3)]
+    for kwargs in refused:
+        with pytest.raises(InputError):
+            GenSpec(**kwargs)
 
 
 def test_generate_output_is_pinned():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from thrsat import sparse_sat
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
-from thrsat.model import (Predicate, PredKind, SymmetricCircuit, SymmetricGate,
+from thrsat.model import (Assignment, Predicate, PredKind, SymmetricCircuit,
+                          SymmetricGate,
                           ThresholdCircuit, ThresholdGate, WireStats,
                           evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
@@ -839,6 +840,46 @@ def test_solvers_refuse_circuits_past_the_variable_guard():
         solve(over, p=Fraction(1))
     edge = ThresholdCircuit(sparse_sat.MAX_VARS, (), (), ((5, 1),), 1)
     assert solve(edge, p=Fraction(1)).satisfiable
+
+
+def test_circuit_accumulation_guard():
+    """Top and direct weights totalling 2^62, or a gate of weighted fan-in
+    2^62, could leave int64: every decider refuses them.  Two below the
+    guard, each decides as evaluate does on every assignment."""
+    half = 1 << 61
+    deciders = (solve, solve_symmetric, brute_circuit_sat,
+                lambda c: eliminate(c, (), WorkCounters()),
+                lambda c: eliminate(c, greedy_independent_set(c),
+                                    WorkCounters()))
+
+    def circuit(top_w, direct_w, gate_w=1, t=1):
+        gate = ThresholdGate(((0, gate_w), (1, gate_w)), gate_w)
+        return ThresholdCircuit(3, (gate,), (top_w,), ((2, direct_w),), t)
+
+    for refused in (circuit(half, half), circuit(-half, half),
+                    circuit(1, 1, gate_w=half)):
+        for decide in deciders:
+            with pytest.raises(InputError, match="accumulation guard"):
+                decide(refused)
+    verdicts = set()
+    for top_w, direct_w, gate_w in ((half - 1, half - 1, 1),
+                                    (-(half - 1), half - 1, 1),
+                                    (1, 1, half - 1)):
+        for t in (half - 1, half, 2 * half - 2, 2 * half - 1, -(half - 1)):
+            c = circuit(top_w, direct_w, gate_w, t)
+            first = next((values for values in itertools.product((0, 1), repeat=3)
+                          if evaluate(c, values)), None)
+            verdicts.add(first is None)
+            assert brute_circuit_sat(c) == (first and Assignment(first))
+            for decide in (solve, solve_symmetric):
+                outcome = decide(c)
+                assert outcome.satisfiable == (first is not None)
+                assert first is None or evaluate(c, outcome.witness)
+            for decide in deciders[3:]:
+                witness = decide(c)
+                assert (witness is None) == (first is None)
+                assert first is None or evaluate(c, witness)
+    assert verdicts == {True, False}
 
 
 def test_solvers_decide_circuits_with_no_variables():
