@@ -233,12 +233,6 @@ def _emit_inputs(terms: Sequence[tuple[int, int]], what: str, j: int) -> str:
     return _emit_terms(terms)
 
 
-def _emit_pred(pred: Predicate) -> str:
-    if pred.kind is PredKind.MEMBER:
-        return "set " + ",".join(map(_num, pred.params))
-    return " ".join((pred.kind.value, *map(_num, pred.params)))
-
-
 def _emit_gates(circuit: SymmetricCircuit, header: str, gate_word: str,
                 top_word: str, pred_text) -> str:
     """Header, gate lines and top line of a circuit, the mirror of
@@ -263,6 +257,12 @@ def emit_circuit(circuit: SymmetricCircuit) -> str:
     return _emit_gates(
         circuit, f"tc2 {_num(circuit.n_vars)} {_num(len(circuit.bottom))}",
         "gate", "top", lambda pred: _num(pred.params[0]))
+
+
+def _emit_pred(pred: Predicate) -> str:
+    if pred.kind is PredKind.MEMBER:
+        return "set " + ",".join(map(_num, pred.params))
+    return " ".join((pred.kind.value, *map(_num, pred.params)))
 
 
 def emit_symmetric(circuit: SymmetricCircuit) -> str:

@@ -33,14 +33,14 @@ _CHUNK = 1 << 16
 
 def _blocks(n: int, arity: int = 2) -> Iterator[np.ndarray]:
     """The arity^n assignments in lexicographic order, first variable most
-    significant, as (rows, n) int64 blocks of _CHUNK rows."""
+    significant, as column-major (rows, n) int64 blocks of _CHUNK rows."""
     total = arity ** n
     for base in range(0, total, _CHUNK):
         idx = np.arange(base, min(base + _CHUNK, total), dtype=np.int64)
-        block = np.empty((len(idx), n), dtype=np.int64)
+        block = np.empty((n, len(idx)), dtype=np.int64)
         for pos in range(n):
-            block[:, pos] = idx // arity ** (n - 1 - pos) % arity
-        yield block
+            block[pos] = idx // arity ** (n - 1 - pos) % arity
+        yield block.T
 
 
 def brute_circuit_sat(circuit: SymmetricCircuit, *,

@@ -231,8 +231,8 @@ def test_gen_refuses_weight_bound_below_one():
 
 
 def _limit_address_space():
-    # 1.5 GB: building the 200-million-variable circuit below ends in a
-    # MemoryError here, so none of these requests can take the machine's memory
+    # a 1.5 GB address-space cap: a request below that were built anyway
+    # would end in a MemoryError, not take the machine's memory
     limit = 1_500_000 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 

@@ -17,9 +17,8 @@ from thrsat import sparse_sat
 from thrsat.counters import WorkCounters
 from thrsat.errors import InputError, ResourceGuardError
 from thrsat.model import (Assignment, Predicate, PredKind, SymmetricCircuit,
-                          SymmetricGate,
-                          ThresholdCircuit, ThresholdGate, WireStats,
-                          evaluate, wire_stats)
+                          SymmetricGate, ThresholdCircuit, ThresholdGate,
+                          WireStats, evaluate, wire_stats)
 from thrsat.oracle import (brute_circuit_sat, enumerate_satisfying,
                            random_fixed_fanin_circuit, random_mixed_circuit,
                            random_symmetric_circuit)
